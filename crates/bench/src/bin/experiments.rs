@@ -147,8 +147,9 @@ use rfcache_sim::metrics_codec::CampaignHeader;
 use rfcache_sim::sweep::SweepDef;
 use rfcache_sim::transport::{self, ServeOptions, WorkOptions};
 use rfcache_sim::{
-    http, parse_json, run_campaign_from_parts, run_campaign_planned, run_campaign_planned_with,
-    scenario, write_csv, write_json, JsonValue, Registry, RunSpec, ScenarioReport, TextTable,
+    http, json_escape, parse_json, run_campaign_from_parts, run_campaign_planned,
+    run_campaign_planned_with, scenario, write_csv, write_json, JsonValue, Registry, RunSpec,
+    ScenarioReport, TextTable, UniquePlan,
 };
 use std::io::{BufRead as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -312,7 +313,7 @@ fn run_main(args: &[String]) {
     // One flat work queue across every selected scenario: the tail of
     // one scenario's runs overlaps the head of the next.
     let plans: Vec<_> = selected.iter().map(|s| s.plan(&opts)).collect();
-    let runs: usize = plans.iter().map(Vec::len).sum();
+    let (planned, runs) = plan_counts(&plans);
     let start = Instant::now();
 
     if let Some((index, count)) = shard {
@@ -327,7 +328,8 @@ fn run_main(args: &[String]) {
             cache_dir.as_deref(),
         );
         eprintln!(
-            "[shard {index}/{count}: {} of {runs} simulation(s), {:.1}s]",
+            "[shard {index}/{count}: {} of {runs} unique simulation(s) ({planned} planned), \
+             {:.1}s]",
             (0..runs).filter(|i| i % count == index).count(),
             start.elapsed().as_secs_f64()
         );
@@ -363,6 +365,7 @@ fn run_main(args: &[String]) {
             serve_opts,
         )
         .sweeps(registry.sweep_texts().to_vec())
+        .planned(planned)
         .self_spawn(exe, count, split_jobs(opts.jobs, count));
         if let Some(path) = journal {
             executor = executor.journal(JournalSpec {
@@ -393,9 +396,9 @@ fn run_main(args: &[String]) {
         (None, None) => "in-process".to_string(),
     };
     eprintln!(
-        "[campaign: {} scenario(s), {} simulation(s), {backend}, {:.1}s]",
+        "[campaign: {} scenario(s), {planned} planned, {runs} unique simulation(s), {backend}, \
+         {:.1}s]",
         selected.len(),
-        runs,
         start.elapsed().as_secs_f64()
     );
 }
@@ -444,6 +447,13 @@ fn bench_main(args: &[String]) {
     std::fs::write(&out, rendered)
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
     eprintln!("[bench: snapshot \"{}\" written to {}]", snapshot.label, out.display());
+}
+
+/// The campaign's size as `(planned, unique)`: runs the scenarios plan,
+/// and the distinct runs that are simulated ([`UniquePlan`]).
+fn plan_counts(plans: &[Vec<RunSpec>]) -> (usize, usize) {
+    let unique = UniquePlan::from_plans(plans);
+    (unique.planned(), unique.specs.len())
 }
 
 /// Splits the thread budget across `count` worker processes: each
@@ -552,7 +562,7 @@ fn serve_main(args: &[String]) {
     let names = with_sweep_names(names, &registry);
     let selected = select_scenarios(&registry, &names);
     let plans: Vec<_> = selected.iter().map(|s| s.plan(&opts)).collect();
-    let runs: usize = plans.iter().map(Vec::len).sum();
+    let (planned, runs) = plan_counts(&plans);
     let start = Instant::now();
     let mut executor = Distributed::new(
         bind,
@@ -560,7 +570,8 @@ fn serve_main(args: &[String]) {
         &opts,
         serve_opts,
     )
-    .sweeps(registry.sweep_texts().to_vec());
+    .sweeps(registry.sweep_texts().to_vec())
+    .planned(planned);
     if let Some(path) = journal {
         executor = executor.journal(JournalSpec {
             path,
@@ -578,9 +589,9 @@ fn serve_main(args: &[String]) {
         .unwrap_or_else(|e| die(&e.to_string()));
     emit_reports(&selected, &reports, csv_dir.as_deref(), json_dir.as_deref());
     eprintln!(
-        "[campaign: {} scenario(s), {} simulation(s), distributed coordinator, {:.1}s]",
+        "[campaign: {} scenario(s), {planned} planned, {runs} unique simulation(s), distributed \
+         coordinator, {:.1}s]",
         selected.len(),
-        runs,
         start.elapsed().as_secs_f64()
     );
 }
@@ -695,9 +706,10 @@ fn submit_main(args: &[String]) {
         .get("id")
         .and_then(JsonValue::as_u64)
         .unwrap_or_else(|| die(&format!("{addr}: submission response carries no id: {body}")));
+    let runs = accepted.get("runs").and_then(JsonValue::as_u64).unwrap_or(0);
     eprintln!(
-        "[submit: campaign {id} queued: {} run(s), fingerprint {}]",
-        accepted.get("runs").and_then(JsonValue::as_u64).unwrap_or(0),
+        "[submit: campaign {id} queued: {} planned, {runs} unique run(s), fingerprint {}]",
+        accepted.get("planned").and_then(JsonValue::as_u64).unwrap_or(runs),
         accepted.get("fingerprint").and_then(JsonValue::as_str).unwrap_or("?"),
     );
     println!("{id}");
@@ -875,14 +887,18 @@ fn resume_main(args: &[String]) {
         .resolve(&header.scenarios)
         .unwrap_or_else(|e| die(&format!("journal {e} (written by a different binary version?)")));
     let plans: Vec<_> = selected.iter().map(|s| s.plan(&opts)).collect();
-    let runs: usize = plans.iter().map(Vec::len).sum();
+    let (planned, runs) = plan_counts(&plans);
     if runs != header.runs {
         die(&format!(
-            "journal describes a {}-run campaign but this binary plans {runs} runs (plan drift)",
+            "journal describes a {}-run campaign but this binary plans {runs} unique runs \
+             (plan drift)",
             header.runs
         ));
     }
-    eprintln!("[resume: resuming a {runs}-run campaign from {}]", journal.display());
+    eprintln!(
+        "[resume: resuming a {runs}-run campaign ({planned} planned, {runs} unique) from {}]",
+        journal.display()
+    );
     let start = Instant::now();
     let mut executor = Distributed::new(
         bind,
@@ -891,6 +907,7 @@ fn resume_main(args: &[String]) {
         serve_opts,
     )
     .sweeps(header.sweeps.clone())
+    .planned(planned)
     .journal(JournalSpec {
         path: journal,
         sync_every: journal_sync.unwrap_or(1),
@@ -906,9 +923,9 @@ fn resume_main(args: &[String]) {
         .unwrap_or_else(|e| die(&e.to_string()));
     emit_reports(&selected, &reports, csv_dir.as_deref(), json_dir.as_deref());
     eprintln!(
-        "[campaign: {} scenario(s), {} simulation(s), resumed coordinator, {:.1}s]",
+        "[campaign: {} scenario(s), {planned} planned, {runs} unique simulation(s), resumed \
+         coordinator, {:.1}s]",
         selected.len(),
-        runs,
         start.elapsed().as_secs_f64()
     );
 }
@@ -994,13 +1011,15 @@ fn status_main(args: &[String]) {
         .unwrap_or_default();
     let (runs, completed, leased, pending) =
         (count("runs"), count("completed"), count("leased"), count("pending"));
+    let planned = status.get("planned").and_then(JsonValue::as_u64).unwrap_or(runs);
     println!(
         "campaign {}: {}",
         status.get("fingerprint").and_then(JsonValue::as_str).unwrap_or("?"),
         scenarios.join(" ")
     );
     println!(
-        "  {runs} run(s): {completed} completed ({} from cache), {leased} leased, \
+        "  {planned} planned, {runs} unique run(s): {completed} completed ({} from cache), \
+         {leased} leased, \
          {pending} pending ({:.1}% done), {:.1}s elapsed",
         count("cached"),
         if runs == 0 { 100.0 } else { 100.0 * completed as f64 / runs as f64 },
@@ -1065,7 +1084,7 @@ fn render_service_status(status: &JsonValue) {
     let campaigns = status.get("campaigns").and_then(JsonValue::as_array).unwrap_or(&[]);
     if !campaigns.is_empty() {
         let mut table = TextTable::new(
-            ["id", "state", "scenarios", "runs", "completed", "cached"]
+            ["id", "state", "scenarios", "planned", "runs", "completed", "cached"]
                 .map(String::from)
                 .into_iter()
                 .collect(),
@@ -1083,6 +1102,7 @@ fn render_service_status(status: &JsonValue) {
                 cell("id"),
                 campaign.get("state").and_then(JsonValue::as_str).unwrap_or("?").to_string(),
                 names.join(" "),
+                cell("planned"),
                 cell("runs"),
                 cell("completed"),
                 cell("cached"),
@@ -1097,8 +1117,6 @@ fn render_service_status(status: &JsonValue) {
 /// re-checks every entry end to end and exits 1 if anything is wrong,
 /// and `clear` empties the store.
 fn cache_main(args: &[String]) {
-    use rfcache_bench::perf::json_escape;
-
     let mut json = false;
     let mut positional: Vec<&str> = Vec::new();
     for arg in args {
@@ -1214,7 +1232,8 @@ fn run_worker(
     out_file: Option<PathBuf>,
     cache_dir: Option<&Path>,
 ) {
-    let flat = rfcache_sim::flatten_plans(plans);
+    let unique = UniquePlan::from_plans(plans);
+    let flat = &unique.specs;
     let names = selected.iter().map(|s| s.name.to_string()).collect();
     let header = CampaignHeader::new(names, opts, index, count, flat.len())
         .with_sweeps(registry.sweep_texts().to_vec());
@@ -1224,12 +1243,12 @@ fn run_worker(
             let file = std::fs::File::create(path)
                 .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", path.display())));
             let mut out = std::io::BufWriter::new(file);
-            run_shard_cached(&header, &flat, opts.jobs, cache.as_ref(), &mut out)
+            run_shard_cached(&header, flat, opts.jobs, cache.as_ref(), &mut out)
                 .and_then(|()| out.flush())
         }
         None => run_shard_cached(
             &header,
-            &flat,
+            flat,
             opts.jobs,
             cache.as_ref(),
             &mut std::io::stdout().lock(),
@@ -1309,22 +1328,23 @@ fn merge_main(args: &[String]) {
             die(&format!("shard files {e} (written by a different binary version?)"))
         });
     let plans: Vec<_> = selected.iter().map(|s| s.plan(&opts)).collect();
-    let flat = rfcache_sim::flatten_plans(&plans);
-    if flat.len() != campaign.runs {
+    let unique = UniquePlan::from_plans(&plans);
+    let (planned, runs) = (unique.planned(), unique.specs.len());
+    if runs != campaign.runs {
         die(&format!(
-            "shard headers describe a {}-run campaign but this binary plans {} runs \
+            "shard headers describe a {}-run campaign but this binary plans {runs} unique runs \
              (plan drift)",
-            campaign.runs,
-            flat.len()
+            campaign.runs
         ));
     }
-    let results = assemble_shard_results(&flat, records).unwrap_or_else(|e| die(&e.to_string()));
-    let reports = run_campaign_from_parts(&selected, &opts, &plans, results);
+    let results =
+        assemble_shard_results(&unique.specs, records).unwrap_or_else(|e| die(&e.to_string()));
+    let reports = run_campaign_from_parts(&selected, &opts, &plans, unique.fan_out(results));
     emit_reports(&selected, &reports, csv_dir.as_deref(), json_dir.as_deref());
     eprintln!(
-        "[merge: {} scenario(s), {} simulation(s) from {} shard(s), {:.1}s]",
+        "[merge: {} scenario(s), {planned} planned, {runs} unique simulation(s) from {} \
+         shard(s), {:.1}s]",
         selected.len(),
-        flat.len(),
         headers.len(),
         start.elapsed().as_secs_f64()
     );

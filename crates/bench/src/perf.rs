@@ -18,7 +18,9 @@ use rfcache_core::{
 use rfcache_pipeline::{Cpu, PipelineConfig};
 use rfcache_sim::experiments::ExperimentOpts;
 use rfcache_sim::scenario::ScenarioReport;
-use rfcache_sim::{run_campaign_planned, run_campaign_planned_with, scenario, Cache, InProcess};
+use rfcache_sim::{
+    json_escape, run_campaign_planned, run_campaign_planned_with, scenario, Cache, InProcess,
+};
 use rfcache_workload::{BenchProfile, TraceGenerator};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -331,19 +333,6 @@ fn git_dirty() -> bool {
         .is_none_or(|o| !o.stdout.is_empty())
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) for
-/// the hand-rendered trajectory and stats output.
-pub fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Renders one snapshot as an indented JSON object (4-space base indent,
 /// matching its position inside the trajectory's `snapshots` array).
 pub fn render_snapshot(s: &Snapshot) -> String {
@@ -493,6 +482,18 @@ mod tests {
         assert_eq!(three.matches("\"label\"").count(), 3);
 
         append_snapshot("{}", &s).expect_err("foreign JSON must be rejected");
+    }
+
+    #[test]
+    fn snapshot_strings_are_escaped_by_the_shared_json_escaper() {
+        let mut s = sample_snapshot();
+        s.label = "say \"hi\" \\ bye".into();
+        let json = render_snapshot(&s);
+        assert!(json.contains("\"label\": \"say \\\"hi\\\" \\\\ bye\","), "{json}");
+        let doc = format!("{{\"snapshots\": [{json}]}}");
+        let parsed = rfcache_sim::parse_json(&doc).expect("the snapshot is valid JSON");
+        let snapshot = &parsed.get("snapshots").unwrap().as_array().unwrap()[0];
+        assert_eq!(snapshot.get("label").and_then(rfcache_sim::JsonValue::as_str), Some(&*s.label));
     }
 
     #[test]

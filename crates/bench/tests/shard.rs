@@ -188,3 +188,52 @@ fn merge_rejects_mismatched_campaigns_and_incomplete_shard_sets() {
     assert!(stderr.contains("plan drift") || stderr.contains("corrupt"), "stderr: {stderr}");
     let _ = std::fs::remove_dir_all(&work);
 }
+
+/// A shard file or journal written before campaigns were deduplicated
+/// indexes the full plan: its header counts every planned run and its
+/// records cover every flat index. Such a file must fail as plan drift,
+/// never be merged or resumed against the deduplicated plan.
+#[test]
+fn merge_and_resume_reject_files_that_count_the_undeduplicated_plan() {
+    use rfcache_sim::experiments::ExperimentOpts;
+    use rfcache_sim::metrics_codec::{CampaignHeader, ShardRecord};
+    use rfcache_sim::{campaign_fingerprint, flatten_plans, scenario, UniquePlan};
+
+    let work = temp_dir("undeduped");
+    let names: Vec<String> = vec!["fig6".into(), "fig7".into()];
+    let opts = ExperimentOpts { insts: 1_500, warmup: 300, quick: true, ..Default::default() };
+    let plans: Vec<_> = scenario::resolve(&names).unwrap().iter().map(|s| s.plan(&opts)).collect();
+    let flat = flatten_plans(&plans);
+    assert!(UniquePlan::new(&flat).specs.len() < flat.len(), "fig6 and fig7 share baselines");
+
+    let header = CampaignHeader::new(names, &opts, 0, 1, flat.len());
+    let records: String = flat
+        .iter()
+        .enumerate()
+        .map(|(index, spec)| {
+            format!(
+                "{}\n",
+                ShardRecord::from_result(index, spec.fingerprint(), &spec.run()).to_line()
+            )
+        })
+        .collect();
+
+    let shard = work.join("old.jsonl");
+    std::fs::write(&shard, format!("{}\n{records}", header.to_line())).unwrap();
+    let merge = experiments(&["merge", shard.to_str().unwrap()]);
+    assert!(!merge.status.success(), "an undeduplicated shard file must not merge");
+    let stderr = String::from_utf8_lossy(&merge.stderr);
+    assert!(stderr.contains("plan drift"), "stderr: {stderr}");
+    assert!(merge.stdout.is_empty(), "no report may be emitted: {stderr}");
+
+    let journal = work.join("old.journal");
+    let line = header.to_journal_line(campaign_fingerprint(&flat));
+    std::fs::write(&journal, format!("{line}\n{records}")).unwrap();
+    let resume =
+        experiments(&["resume", "--journal", journal.to_str().unwrap(), "--bind", "127.0.0.1:0"]);
+    assert!(!resume.status.success(), "an undeduplicated journal must not resume");
+    let stderr = String::from_utf8_lossy(&resume.stderr);
+    assert!(stderr.contains("plan drift"), "stderr: {stderr}");
+    assert!(resume.stdout.is_empty(), "no report may be emitted: {stderr}");
+    let _ = std::fs::remove_dir_all(&work);
+}

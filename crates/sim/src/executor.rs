@@ -1,8 +1,10 @@
 //! Pluggable campaign execution backends.
 //!
 //! [`run_campaign`](crate::scenario::run_campaign) plans a flat list of
-//! [`RunSpec`]s; an [`Executor`] decides *where* those specs run. Three
-//! backends ship:
+//! [`RunSpec`]s and folds its exact duplicates ([`crate::UniquePlan`]);
+//! an [`Executor`] decides *where* the distinct specs run. Every plan
+//! index below — shard assignment, leases, journal and shard-file
+//! records, header `runs` — counts distinct runs. Three backends ship:
 //!
 //! * [`InProcess`] — the original shared-work-queue thread pool
 //!   ([`par_indexed`]), the default.
@@ -377,6 +379,7 @@ pub struct Distributed {
     self_spawn: Option<SelfSpawn>,
     journal: Option<JournalSpec>,
     cache: Option<PathBuf>,
+    planned: Option<usize>,
 }
 
 /// Write-ahead journal configuration for [`Distributed`]: where the
@@ -430,7 +433,17 @@ impl Distributed {
             self_spawn: None,
             journal: None,
             cache: None,
+            planned: None,
         }
+    }
+
+    /// Records how many runs the full plan holds, duplicates included,
+    /// for `/status` to report next to the distinct runs it serves
+    /// (builder-style; defaults to the distinct count).
+    #[must_use]
+    pub fn planned(mut self, runs: usize) -> Self {
+        self.planned = Some(runs);
+        self
     }
 
     /// Embeds declarative sweep definitions (canonical JSON texts) in
@@ -644,6 +657,7 @@ impl Executor for Distributed {
                 http: http_listener.as_ref(),
                 header: &header,
                 specs,
+                planned: self.planned.unwrap_or(specs.len()),
                 opts: &self.serve_opts,
                 signals: &signals,
                 journal,

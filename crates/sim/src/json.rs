@@ -16,8 +16,10 @@ use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::path::Path;
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal: quotes,
+/// backslashes, `\n`/`\r`/`\t`, and every other control character as
+/// `\u00XX`. The one escaper every hand-rendered JSON document shares.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -41,12 +41,12 @@ pub mod transport;
 pub use cache::{Cache, CacheSession, CacheStats};
 pub use csv::write_csv;
 pub use executor::{Distributed, Executor, ExecutorError, InProcess, JournalSpec, Subprocess};
-pub use json::{parse_json, write_json, JsonParseError, JsonValue};
+pub use json::{escape as json_escape, parse_json, write_json, JsonParseError, JsonValue};
 pub use means::{geometric_mean, harmonic_mean};
 pub use rfcache_area::{pareto_frontier, ParetoPoint};
 pub use run::{
     campaign_fingerprint, flatten_plans, fnv1a_64, par_indexed, run_suite, run_suite_jobs,
-    RunResult, RunSpec, TraceWorkload, WorkloadSource, DEFAULT_INSTS, DEFAULT_WARMUP,
+    RunResult, RunSpec, TraceWorkload, UniquePlan, WorkloadSource, DEFAULT_INSTS, DEFAULT_WARMUP,
 };
 pub use scenario::{
     run_campaign, run_campaign_from_parts, run_campaign_planned, run_campaign_planned_with,

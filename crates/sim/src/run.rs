@@ -4,6 +4,7 @@ use rfcache_core::RegFileConfig;
 use rfcache_isa::TraceInst;
 use rfcache_pipeline::{Cpu, PipelineConfig, SimMetrics};
 use rfcache_workload::{family_member, read_trace, BenchProfile, TraceGenerator};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -289,6 +290,7 @@ pub fn fnv1a_64<I: IntoIterator<Item = u8>>(bytes: I) -> u64 {
 /// A stable fingerprint of an entire campaign plan: FNV-1a folded over
 /// every spec's [`RunSpec::fingerprint`] in plan order.
 ///
+/// Campaigns fingerprint their deduplicated plan ([`UniquePlan::specs`]).
 /// The distributed transport's handshake compares the coordinator's and
 /// each worker's campaign fingerprint, so a worker that derived a
 /// different plan (mismatched options, binary versions, or registry
@@ -300,12 +302,105 @@ pub fn campaign_fingerprint(specs: &[&RunSpec]) -> u64 {
 }
 
 /// Flattens per-scenario plans into the campaign's single spec list, in
-/// plan order — the shape every executor, the lease table, and
-/// [`campaign_fingerprint`] agree on. One helper instead of four
-/// inlined `flatten().collect()` sites keeps "what order is the flat
-/// plan in" defined exactly once.
+/// plan order — the shape every scenario's `assemble` consumes. One
+/// helper instead of four inlined `flatten().collect()` sites keeps
+/// "what order is the flat plan in" defined exactly once; what is
+/// executed is its [`UniquePlan`].
 pub fn flatten_plans(plans: &[Vec<RunSpec>]) -> Vec<&RunSpec> {
     plans.iter().flatten().collect()
+}
+
+/// A campaign plan with its exact duplicates folded: each distinct spec
+/// once, in first-occurrence order, plus the map from every flat plan
+/// index back to the distinct spec it repeats.
+///
+/// Experiments reuse each other's baselines (fig6–fig9, ablation,
+/// onelevel, readstats and sources re-plan fig2's and fig5's runs), so
+/// a whole-registry campaign plans the same simulation several times.
+/// Two specs are the same run when their `Debug` texts are equal — the
+/// text [`RunSpec::fingerprint`] hashes and the result cache matches
+/// on — and simulation is deterministic, so one result serves them all.
+///
+/// Executors, lease tables, journals, shard files and
+/// [`campaign_fingerprint`] all work over [`specs`](Self::specs);
+/// [`fan_out`](Self::fan_out) restores one result per flat index for
+/// assembly. Every process derives the same `UniquePlan` from the same
+/// plans, so no index needs translating on the wire.
+#[derive(Debug, Clone)]
+pub struct UniquePlan<'a> {
+    /// The distinct specs, in first-occurrence order.
+    pub specs: Vec<&'a RunSpec>,
+    /// For each flat plan index, the position of its spec in `specs`.
+    pub slot: Vec<usize>,
+}
+
+impl<'a> UniquePlan<'a> {
+    /// Folds the duplicates of a flat plan.
+    pub fn new(flat: &[&'a RunSpec]) -> Self {
+        // Bucket by the text's hash and compare the texts themselves
+        // within a bucket: exact, without holding every text at once
+        // (≈1.3 KiB per spec, a visible share of a campaign's peak RSS).
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::with_capacity(flat.len());
+        let mut specs: Vec<&'a RunSpec> = Vec::new();
+        let mut slot = Vec::with_capacity(flat.len());
+        for &spec in flat {
+            let text = format!("{spec:?}");
+            let bucket = buckets.entry(fnv1a_64(text.bytes())).or_default();
+            let unique = match bucket.iter().find(|&&u| format!("{:?}", specs[u]) == text) {
+                Some(&unique) => unique,
+                None => {
+                    specs.push(spec);
+                    bucket.push(specs.len() - 1);
+                    specs.len() - 1
+                }
+            };
+            slot.push(unique);
+        }
+        UniquePlan { specs, slot }
+    }
+
+    /// Flattens per-scenario plans ([`flatten_plans`]) and folds their
+    /// duplicates.
+    pub fn from_plans(plans: &'a [Vec<RunSpec>]) -> Self {
+        Self::new(&flatten_plans(plans))
+    }
+
+    /// Runs the full plan holds, duplicates included.
+    pub fn planned(&self) -> usize {
+        self.slot.len()
+    }
+
+    /// Copies each distinct spec's result to every flat index that
+    /// shares it: `results` in [`specs`](Self::specs) order in, one
+    /// result per planned run, in plan order, out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `results` does not hold exactly one result per
+    /// distinct spec.
+    pub fn fan_out(&self, results: Vec<RunResult>) -> Vec<RunResult> {
+        assert_eq!(results.len(), self.specs.len(), "one result per unique spec");
+        // Each result moves to its last planned index and is cloned
+        // only for the earlier ones, so the distinct results and their
+        // fanned-out copies are not all alive at once.
+        let mut left = vec![0usize; results.len()];
+        for &unique in &self.slot {
+            left[unique] += 1;
+        }
+        let mut results: Vec<Option<RunResult>> = results.into_iter().map(Some).collect();
+        self.slot
+            .iter()
+            .map(|&unique| {
+                left[unique] -= 1;
+                let result = if left[unique] == 0 {
+                    results[unique].take()
+                } else {
+                    results[unique].clone()
+                };
+                result.expect("a result is moved out only at its last index")
+            })
+            .collect()
+    }
 }
 
 /// Result of one simulation.
@@ -536,6 +631,105 @@ mod tests {
         assert_ne!(ab, campaign_fingerprint(&[&a]), "plan length matters");
         let c = a.clone().seed(a.seed + 1);
         assert_ne!(ab, campaign_fingerprint(&[&a, &c]), "spec content matters");
+    }
+
+    fn tiny(bench: &str) -> RunSpec {
+        RunSpec::known(bench, one_cycle()).insts(1_500).warmup(300)
+    }
+
+    /// Whether two spec references point at the same value.
+    fn same(a: &[&RunSpec], b: &[&RunSpec]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| std::ptr::eq(*x, *y))
+    }
+
+    #[test]
+    fn unique_plan_without_duplicates_is_the_identity() {
+        let plans = vec![vec![tiny("li"), tiny("go")], vec![], vec![tiny("swim")]];
+        let flat = flatten_plans(&plans);
+        let unique = UniquePlan::from_plans(&plans);
+        assert!(same(&unique.specs, &flat));
+        assert_eq!(unique.slot, vec![0, 1, 2]);
+        assert_eq!(unique.planned(), 3);
+        assert_eq!(campaign_fingerprint(&unique.specs), campaign_fingerprint(&flat));
+        assert!(UniquePlan::new(&[]).specs.is_empty());
+    }
+
+    #[test]
+    fn unique_plan_keeps_first_occurrence_order() {
+        // A later scenario re-plans an earlier one's baselines, built
+        // afresh (equal values, different addresses).
+        let plans = vec![
+            vec![tiny("li"), tiny("go")],
+            vec![tiny("go"), tiny("swim"), tiny("li"), tiny("go")],
+        ];
+        let flat = flatten_plans(&plans);
+        let unique = UniquePlan::from_plans(&plans);
+        assert!(same(&unique.specs, &[flat[0], flat[1], flat[3]]), "first occurrences, in order");
+        assert_eq!(unique.slot, vec![0, 1, 1, 2, 0, 1]);
+        assert_eq!(unique.planned(), 6);
+    }
+
+    #[test]
+    fn fan_out_of_executed_unique_specs_equals_running_every_index() {
+        let plans = vec![vec![tiny("li"), tiny("go"), tiny("li")], vec![tiny("go"), tiny("swim")]];
+        let flat = flatten_plans(&plans);
+        let unique = UniquePlan::new(&flat);
+        assert_eq!(unique.specs.len(), 3);
+        let executed = par_indexed(unique.specs.len(), 2, |i| unique.specs[i].run());
+        let fanned = unique.fan_out(executed);
+        assert_eq!(fanned.len(), flat.len());
+        for (spec, result) in flat.iter().zip(&fanned) {
+            let direct = spec.run();
+            assert_eq!(result.bench, direct.bench);
+            assert_eq!(result.fp, direct.fp);
+            assert_eq!(result.metrics, direct.metrics, "{spec:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one result per unique spec")]
+    fn fan_out_rejects_a_short_result_vector() {
+        let plans = vec![vec![tiny("li"), tiny("li")]];
+        let _ = UniquePlan::from_plans(&plans).fan_out(Vec::new());
+    }
+
+    #[test]
+    fn specs_differing_in_one_field_are_never_merged() {
+        let base = tiny("li");
+        let profile = BenchProfile::by_name("li").unwrap();
+        let trace = |content| TraceWorkload {
+            path: "li.rfct".into(),
+            label: "li-trace".into(),
+            fp: false,
+            content,
+            insts: Arc::new(Vec::new()),
+        };
+        let family = |member| WorkloadSource::Family { base: profile, member };
+        let at = |workload| RunSpec { workload, ..base.clone() };
+        let variants = [
+            base.clone().seed(base.seed + 1),
+            base.clone().insts(base.insts + 1),
+            base.clone().warmup(base.warmup + 1),
+            RunSpec {
+                rf: RegFileConfig::Single(SingleBankConfig::two_cycle_full_bypass()),
+                ..base.clone()
+            },
+            base.clone().pipeline(PipelineConfig {
+                window_size: base.pipeline.window_size + 1,
+                ..base.pipeline
+            }),
+            at(WorkloadSource::Trace(trace(1))),
+            at(WorkloadSource::Trace(trace(2))),
+            at(family(1)),
+            at(family(2)),
+        ];
+        for variant in &variants {
+            let pair = [&base, variant];
+            assert_eq!(UniquePlan::new(&pair).specs.len(), 2, "merged {variant:?}");
+        }
+        let mut all: Vec<&RunSpec> = variants.iter().collect();
+        all.push(&base);
+        assert_eq!(UniquePlan::new(&all).specs.len(), all.len());
     }
 
     /// The work queue really fans out: with as many barrier-waiting tasks

@@ -33,7 +33,7 @@ use crate::experiments::{
     ablation, fig1, fig2, fig3, fig5, fig6, fig7, fig8, fig9, onelevel, readstats, sources, table2,
     ExperimentOpts,
 };
-use crate::run::{run_suite_jobs, RunResult, RunSpec};
+use crate::run::{run_suite_jobs, RunResult, RunSpec, UniquePlan};
 use crate::table::TextTable;
 use std::fmt;
 
@@ -160,9 +160,10 @@ impl fmt::Debug for Scenario {
 /// All scenarios' specs are flattened into a single [`par_indexed`]
 /// batch, so the tail of one scenario's sweep overlaps the head of the
 /// next and the worker pool stays saturated across scenario boundaries.
-/// Each result is routed back to its scenario by index, so the returned
-/// reports (in input order) are byte-identical to what the same
-/// [`Scenario::run`] calls would produce sequentially.
+/// A spec that several scenarios plan (a shared baseline) is simulated
+/// once. Each result is routed back to its scenario by index, so the
+/// returned reports (in input order) are byte-identical to what the
+/// same [`Scenario::run`] calls would produce sequentially.
 pub fn run_campaign(
     scenarios: &[&Scenario],
     opts: &ExperimentOpts,
@@ -189,10 +190,11 @@ pub fn run_campaign_planned(
 }
 
 /// [`run_campaign_planned`] through an explicit execution backend —
-/// the seam the multi-process (and, later, multi-host) backends plug
-/// into. The executor sees the flattened plan and must return one
-/// result per spec in plan order; the reports are byte-identical across
-/// backends.
+/// the seam the multi-process and multi-host backends plug into. The
+/// executor sees the deduplicated plan ([`UniquePlan::specs`]: each
+/// distinct run once) and must return one result per spec in that
+/// order; [`UniquePlan::fan_out`] copies them back to every planned
+/// run, so the reports are byte-identical across backends.
 ///
 /// # Errors
 ///
@@ -209,16 +211,17 @@ pub fn run_campaign_planned_with(
     plans: Vec<Vec<RunSpec>>,
 ) -> Result<Vec<Box<dyn ScenarioReport>>, ExecutorError> {
     assert_eq!(plans.len(), scenarios.len(), "one plan per scenario");
-    let flat = crate::run::flatten_plans(&plans);
-    let results = executor.execute(&flat)?;
-    Ok(run_campaign_from_parts(scenarios, opts, &plans, results))
+    let unique = UniquePlan::from_plans(&plans);
+    let results = executor.execute(&unique.specs)?;
+    Ok(run_campaign_from_parts(scenarios, opts, &plans, unique.fan_out(results)))
 }
 
 /// The assemble half of a campaign: folds an already complete,
-/// plan-ordered result vector back through each scenario's
-/// [`assemble`](Scenario::assemble). This is what the `merge` CLI path
-/// uses after decoding shard files — the simulation happened elsewhere,
-/// possibly in several processes.
+/// plan-ordered result vector — one result per *planned* run,
+/// duplicates included, as [`UniquePlan::fan_out`] returns it — back
+/// through each scenario's [`assemble`](Scenario::assemble). This is
+/// what the `merge` CLI path uses after decoding shard files — the
+/// simulation happened elsewhere, possibly in several processes.
 ///
 /// # Panics
 ///
@@ -242,8 +245,9 @@ pub fn run_campaign_from_parts(
         .collect()
 }
 
-/// Total number of simulation specs the scenarios plan under `opts`
-/// (what [`run_campaign`] will schedule).
+/// Total number of simulation specs the scenarios plan under `opts`,
+/// duplicates included ([`run_campaign`] simulates each distinct one
+/// once).
 pub fn campaign_size(scenarios: &[&Scenario], opts: &ExperimentOpts) -> usize {
     scenarios.iter().map(|s| s.plan(opts).len()).sum()
 }

@@ -57,7 +57,7 @@ use crate::http;
 use crate::json;
 use crate::metrics_codec::{CampaignHeader, Frame, ShardRecord};
 use crate::readiness::{listener_fd, stream_fd, PollSet};
-use crate::run::{campaign_fingerprint, flatten_plans, RunSpec};
+use crate::run::{campaign_fingerprint, RunSpec, UniquePlan};
 use crate::scenario::{self, CampaignRequest, Registry, ScenarioReport};
 use crate::transport::{
     worker_roster_json, JournalWriter, ServeOptions, ServeSignals, ServeState, DRAIN_WINDOW,
@@ -153,6 +153,9 @@ struct Campaign {
     registry: Registry,
     header: CampaignHeader,
     plans: Vec<Vec<RunSpec>>,
+    /// The distinct specs of `plans` ([`UniquePlan::specs`]), owned:
+    /// what is leased, journaled, cached and fingerprinted.
+    specs: Vec<RunSpec>,
     fingerprint: u64,
     state: ServeState,
     lifecycle: Lifecycle,
@@ -176,9 +179,10 @@ impl Campaign {
         let registry = request.registry()?;
         let scenarios = registry.resolve(&request.scenarios)?;
         let plans: Vec<Vec<RunSpec>> = scenarios.iter().map(|s| s.plan(&request.opts)).collect();
-        let flat = flatten_plans(&plans);
-        let runs = flat.len();
-        let fingerprint = campaign_fingerprint(&flat);
+        let unique = UniquePlan::from_plans(&plans);
+        let runs = unique.specs.len();
+        let fingerprint = campaign_fingerprint(&unique.specs);
+        let specs = unique.specs.into_iter().cloned().collect();
         let header = CampaignHeader::new(request.scenarios.clone(), &request.opts, 0, 1, runs)
             .with_sweeps(request.sweeps.clone());
         Ok(Campaign {
@@ -187,6 +191,7 @@ impl Campaign {
             registry,
             header,
             plans,
+            specs,
             fingerprint,
             state: ServeState::new(runs, opts.chunk, opts.lease_timeout),
             lifecycle: Lifecycle::Queued,
@@ -199,6 +204,11 @@ impl Campaign {
 
     fn runs(&self) -> usize {
         self.header.runs
+    }
+
+    /// Runs the scenarios plan, duplicates included.
+    fn planned(&self) -> usize {
+        self.plans.iter().map(Vec::len).sum()
     }
 
     /// Marks the campaign failed (first reason wins) — unlike the
@@ -227,7 +237,7 @@ impl Campaign {
             }
         }
         if let Some(cache) = cfg.cache {
-            let flat = flatten_plans(&self.plans);
+            let flat: Vec<&RunSpec> = self.specs.iter().collect();
             let mut lookups = 0u64;
             for index in 0..flat.len() {
                 if self.state.table.is_filled(index) {
@@ -254,8 +264,10 @@ impl Campaign {
         }
         self.lifecycle = Lifecycle::Serving;
         eprintln!(
-            "[service: campaign {} serving: {} run(s), {} from cache, fingerprint {:016x}]",
+            "[service: campaign {} serving: {} planned, {} unique run(s), {} from cache, \
+             fingerprint {:016x}]",
             self.id,
+            self.planned(),
             self.runs(),
             self.cached,
             self.fingerprint
@@ -285,6 +297,7 @@ impl Campaign {
                 return;
             }
         };
+        let results = UniquePlan::from_plans(&self.plans).fan_out(results);
         let reports =
             scenario::run_campaign_from_parts(&scenarios, &self.request.opts, &self.plans, results);
         self.results = Some(render_results(self, &reports));
@@ -308,7 +321,7 @@ impl Campaign {
         format!(
             "{{\"schema\": \"rfcache-service-campaign/v1\", \"id\": {}, \"state\": \"{}\", \
              \"scenarios\": [{}], \"insts\": {}, \"warmup\": {}, \"seed\": {}, \"quick\": {}, \
-             \"runs\": {}, \"completed\": {completed}, \"leased\": {leased}, \
+             \"planned\": {}, \"runs\": {}, \"completed\": {completed}, \"leased\": {leased}, \
              \"pending\": {pending}, \"cached\": {}, \"fingerprint\": \"{:016x}\", \
              \"failure\": {failure}, \"journal\": {journal}, \"age_secs\": {:.3}}}\n",
             self.id,
@@ -318,6 +331,7 @@ impl Campaign {
             self.request.opts.warmup,
             self.request.opts.seed,
             self.request.opts.quick,
+            self.planned(),
             self.runs(),
             self.cached,
             self.fingerprint,
@@ -331,11 +345,12 @@ impl Campaign {
         let names: Vec<String> =
             self.request.scenarios.iter().map(|s| format!("\"{}\"", json::escape(s))).collect();
         format!(
-            "{{\"id\": {}, \"state\": \"{}\", \"scenarios\": [{}], \"runs\": {}, \
-             \"completed\": {completed}, \"cached\": {}}}",
+            "{{\"id\": {}, \"state\": \"{}\", \"scenarios\": [{}], \"planned\": {}, \
+             \"runs\": {}, \"completed\": {completed}, \"cached\": {}}}",
             self.id,
             self.lifecycle.as_str(),
             names.join(", "),
+            self.planned(),
             self.runs(),
             self.cached
         )
@@ -437,13 +452,15 @@ fn route_request(
                 }
             };
             eprintln!(
-                "[service: campaign {id} queued: {} ({} run(s))]",
+                "[service: campaign {id} queued: {} ({} planned, {} unique run(s))]",
                 campaign.request.scenarios.join(" "),
+                campaign.planned(),
                 campaign.runs()
             );
             let body = format!(
-                "{{\"id\": {id}, \"state\": \"queued\", \"runs\": {}, \
+                "{{\"id\": {id}, \"state\": \"queued\", \"planned\": {}, \"runs\": {}, \
                  \"fingerprint\": \"{:016x}\"}}\n",
+                campaign.planned(),
                 campaign.runs(),
                 campaign.fingerprint
             );
@@ -728,7 +745,7 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
                             continue; // straggler record after failure
                         }
                         let index = record.index;
-                        let flat = flatten_plans(&c.plans);
+                        let flat: Vec<&RunSpec> = c.specs.iter().collect();
                         match c.state.admit(&flat, *record, true) {
                             Ok(true) => {
                                 if let Some(cache) = cfg.cache {

@@ -5,9 +5,11 @@
 //! never ships a [`RunSpec`] over the wire — a connecting worker
 //! ([`work`]) receives the [`CampaignHeader`] in the `hello` frame,
 //! re-derives the *same* plan from the scenario registry, and proves it
-//! did by echoing the plan's [`campaign_fingerprint`]. After that
-//! handshake the coordinator hands out **leases** (small index ranges of
-//! the flat plan) and folds the streamed `record` frames into a
+//! did by echoing the plan's [`campaign_fingerprint`]. Both sides work
+//! over the deduplicated plan ([`crate::UniquePlan`]): header `runs`,
+//! the fingerprint and lease indices count each distinct run once.
+//! After that handshake the coordinator hands out **leases** (small
+//! index ranges of that plan) and folds the streamed `record` frames into a
 //! plan-ordered result vector, so reports assembled from a distributed
 //! run are byte-identical to a single-process run.
 //!
@@ -58,7 +60,7 @@ use crate::metrics_codec::{
     CampaignHeader, CodecError, Frame, RecordFile, ShardRecord, TailPolicy,
 };
 use crate::readiness::{listener_fd, stream_fd, PollSet};
-use crate::run::{campaign_fingerprint, par_indexed, RunResult, RunSpec};
+use crate::run::{campaign_fingerprint, par_indexed, RunResult, RunSpec, UniquePlan};
 use crate::scenario;
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
@@ -491,8 +493,12 @@ pub struct ServeConfig<'a> {
     pub http: Option<&'a TcpListener>,
     /// The campaign header sent to workers in the hello frame.
     pub header: &'a CampaignHeader,
-    /// The flat campaign plan.
+    /// The deduplicated campaign plan ([`crate::UniquePlan::specs`]):
+    /// what is leased, journaled and fingerprinted.
     pub specs: &'a [&'a RunSpec],
+    /// Runs the full plan holds, duplicates included (reported by
+    /// `/status` next to `runs`).
+    pub planned: usize,
     /// Lease policy knobs.
     pub opts: &'a ServeOptions,
     /// Out-of-band abort/finished signalling shared with the caller.
@@ -621,6 +627,7 @@ pub fn serve(
         http: None,
         header,
         specs,
+        planned: specs.len(),
         opts,
         signals,
         journal,
@@ -641,8 +648,18 @@ pub fn serve(
 ///
 /// As [`serve`].
 pub fn serve_with(cfg: ServeConfig<'_>) -> Result<Vec<RunResult>, ExecutorError> {
-    let ServeConfig { listener, http, header, specs, opts, signals, journal, cache, mut supervise } =
-        cfg;
+    let ServeConfig {
+        listener,
+        http,
+        header,
+        specs,
+        planned,
+        opts,
+        signals,
+        journal,
+        cache,
+        mut supervise,
+    } = cfg;
     let mut state = ServeState::new(specs.len(), opts.chunk, opts.lease_timeout);
     let mut replayed = 0usize;
     if let Some(journal) = journal {
@@ -977,6 +994,7 @@ pub fn serve_with(cfg: ServeConfig<'_>) -> Result<Vec<RunResult>, ExecutorError>
                                 "/healthz" => http::json_ok("{\"status\": \"ok\"}\n"),
                                 "/status" => http::json_ok(&status_json(
                                     header,
+                                    planned,
                                     fingerprint,
                                     &state,
                                     &workers,
@@ -1124,6 +1142,7 @@ pub fn serve_with(cfg: ServeConfig<'_>) -> Result<Vec<RunResult>, ExecutorError>
 #[allow(clippy::too_many_arguments)] // one render site; a struct would only move the list
 fn status_json(
     header: &CampaignHeader,
+    planned: usize,
     fingerprint: u64,
     state: &ServeState,
     workers: &[WorkerConn],
@@ -1142,8 +1161,9 @@ fn status_json(
     });
     format!(
         "{{\"schema\": \"rfcache-coordinator/v1\", \"fingerprint\": \"{fingerprint:016x}\", \
-         \"scenarios\": [{}], \"runs\": {}, \"completed\": {completed}, \"leased\": {leased}, \
-         \"pending\": {pending}, \"cached\": {cached}, \"complete\": {}, \"elapsed_secs\": {:.3}, \
+         \"scenarios\": [{}], \"planned\": {planned}, \"runs\": {}, \"completed\": {completed}, \
+         \"leased\": {leased}, \"pending\": {pending}, \"cached\": {cached}, \"complete\": {}, \
+         \"elapsed_secs\": {:.3}, \
          \"workers_joined\": {joined_total}, \"workers_connected\": {}, \"workers\": [{}], \
          \"journal\": {journal}}}\n",
         scenarios.join(", "),
@@ -1333,20 +1353,27 @@ pub fn work(addr: &str, opts: &WorkOptions) -> Result<WorkSummary, String> {
     })?;
     let exp_opts = header.opts();
     let plans: Vec<Vec<RunSpec>> = scenarios.iter().map(|s| s.plan(&exp_opts)).collect();
-    let flat = crate::run::flatten_plans(&plans);
-    let fingerprint = campaign_fingerprint(&flat);
+    // Leases index the deduplicated plan, exactly as the coordinator's
+    // executor received it.
+    let unique = UniquePlan::from_plans(&plans);
+    let flat = &unique.specs;
+    let fingerprint = campaign_fingerprint(flat);
     send_line(&mut stream, &Frame::Hello { campaign: None, fingerprint }).map_err(read_err)?;
     if flat.len() != header.runs || fingerprint != coordinator_fp {
         return Err(format!(
             "plan drift: coordinator announced {} run(s) with campaign fingerprint {:016x}, \
-             this worker planned {} run(s) with {:016x} (mismatched binaries or options)",
+             this worker planned {} unique run(s) with {:016x} (mismatched binaries or options)",
             header.runs,
             coordinator_fp,
             flat.len(),
             fingerprint
         ));
     }
-    eprintln!("[work: joined {addr}: {} run(s), fingerprint {fingerprint:016x}]", flat.len());
+    eprintln!(
+        "[work: joined {addr}: {} planned, {} unique run(s), fingerprint {fingerprint:016x}]",
+        unique.planned(),
+        flat.len()
+    );
 
     let mut summary = WorkSummary { leases: 0, simulated: 0, quit_injected: false };
     loop {
@@ -1669,6 +1696,8 @@ mod tests {
                     http: Some(&control),
                     header: &header,
                     specs: &refs,
+                    // As if the plan repeated one of its runs.
+                    planned: refs.len() + 1,
                     opts: &ServeOptions::default(),
                     signals: &signals,
                     journal: None,
@@ -1684,6 +1713,7 @@ mod tests {
             let (code, body) = http::get(&control_addr, "/status", timeout).unwrap();
             assert_eq!(code, 200);
             assert!(body.contains("\"runs\": 2"), "{body}");
+            assert!(body.contains("\"planned\": 3"), "{body}");
             assert!(body.contains("\"completed\": 0"), "{body}");
             assert!(body.contains("\"pending\": 2"), "{body}");
             assert!(body.contains("\"journal\": null"), "{body}");

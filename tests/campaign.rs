@@ -4,7 +4,11 @@
 //! yield one well-formed file per scenario.
 
 use rfcache_repro::prelude::*;
-use rfcache_sim::{run_campaign, scenario, write_csv, write_json};
+use rfcache_sim::{
+    flatten_plans, run_campaign, run_campaign_from_parts, run_campaign_planned_with, scenario,
+    write_csv, write_json, Executor, ExecutorError, InProcess, UniquePlan,
+};
+use std::cell::RefCell;
 use std::path::Path;
 
 /// ≥3 scenarios of different shapes: a multi-batch sweep (fig1), a
@@ -53,6 +57,73 @@ fn campaign_plans_flatten_and_route_back_by_index() {
     assert_eq!(per_scenario[3], 0, "table2 must plan zero simulations");
     assert!(per_scenario[0] > 0 && per_scenario[1] > 0 && per_scenario[2] > 0);
     assert_eq!(scenario::campaign_size(&scenarios, &opts), per_scenario.iter().sum::<usize>());
+}
+
+/// An in-process executor that keeps a copy of what it returned.
+struct Recording {
+    inner: InProcess,
+    results: RefCell<Vec<RunResult>>,
+}
+
+impl Executor for Recording {
+    fn name(&self) -> String {
+        "recording".into()
+    }
+
+    fn execute(&self, specs: &[&RunSpec]) -> Result<Vec<RunResult>, ExecutorError> {
+        let results = self.inner.execute(specs)?;
+        *self.results.borrow_mut() = results.clone();
+        Ok(results)
+    }
+}
+
+/// The deduplicated campaign simulates each distinct spec once and fans
+/// the results out; every planned index must still see exactly what
+/// simulating the whole flat plan yields, and so must every report.
+#[test]
+fn deduplicated_campaign_equals_the_undeduplicated_plan() {
+    let all: Vec<&Scenario> = scenario::registry().iter().collect();
+    let opts = ExperimentOpts::smoke();
+    let plans: Vec<Vec<RunSpec>> = all.iter().map(|s| s.plan(&opts)).collect();
+    let every: Vec<RunSpec> = flatten_plans(&plans).into_iter().cloned().collect();
+    let undeduped = run_suite_jobs(&every, 2);
+    let reference = run_campaign_from_parts(&all, &opts, &plans, undeduped.clone());
+    let unique = UniquePlan::from_plans(&plans);
+    assert!(unique.specs.len() < every.len(), "the registry re-plans shared baselines");
+
+    for jobs in [1usize, 2] {
+        let executor = Recording { inner: InProcess::new(jobs), results: RefCell::default() };
+        let campaign =
+            run_campaign_planned_with(&executor, &all, &opts, plans.clone()).expect("in-process");
+        let executed = executor.results.into_inner();
+        assert_eq!(executed.len(), unique.specs.len(), "each distinct spec runs once");
+        let deduped = unique.fan_out(executed);
+        assert_eq!(deduped.len(), undeduped.len());
+        for (i, (d, u)) in deduped.iter().zip(&undeduped).enumerate() {
+            assert_eq!(d.bench, u.bench, "index {i} at jobs = {jobs}");
+            assert_eq!(d.metrics, u.metrics, "index {i} at jobs = {jobs}");
+        }
+        for ((s, r), c) in all.iter().zip(&reference).zip(&campaign) {
+            assert_eq!(r.to_string(), c.to_string(), "{}: rendering at jobs = {jobs}", s.name);
+            assert_eq!(
+                r.to_table().to_csv(),
+                c.to_table().to_csv(),
+                "{}: export at jobs = {jobs}",
+                s.name
+            );
+        }
+    }
+}
+
+#[test]
+fn fig6_and_fig7_share_their_baselines() {
+    let scenarios: Vec<&Scenario> =
+        ["fig6", "fig7"].iter().map(|n| scenario::find(n).unwrap()).collect();
+    let opts = ExperimentOpts { quick: true, ..ExperimentOpts::default() };
+    let plans: Vec<Vec<RunSpec>> = scenarios.iter().map(|s| s.plan(&opts)).collect();
+    let unique = UniquePlan::from_plans(&plans);
+    assert_eq!(unique.planned(), 20);
+    assert_eq!(unique.specs.len(), 16);
 }
 
 fn assert_wellformed_csv(path: &Path, name: &str) {
