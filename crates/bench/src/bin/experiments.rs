@@ -76,8 +76,9 @@
 //! JSON through for scripts).
 //!
 //! **The campaign service.** `serve` with **no scenario names** runs the
-//! multi-campaign coordinator service (`rfcache_sim::service`) instead
-//! of a single campaign: campaigns arrive over HTTP (`--http` is
+//! multi-campaign coordinator service (`rfcache_sim::service`, the same
+//! readiness loop that serves a single campaign, started with an empty
+//! campaign table): campaigns arrive over HTTP (`--http` is
 //! mandatory) as `POST /campaigns` submissions and move through a
 //! queued → serving → complete → fetched lifecycle while workers lease
 //! from whichever campaign is serving — one coordinator process, any
@@ -89,9 +90,10 @@
 //! `--journal` names a *directory* (each campaign write-ahead journals
 //! to `campaign-<id>.journal` inside it), `--cache` pre-fills each
 //! campaign at admission (so one submission's results satisfy the
-//! next), `--max-campaigns N` exits cleanly after `N` campaigns are
-//! fetched (CI and scripts), and a worker that connects between
-//! campaigns is told to retry shortly rather than left hanging.
+//! next), `--max-campaigns N` exits once `N` campaigns are fetched or
+//! have failed (CI and scripts; exit status 1 if any failed), and a
+//! worker that connects between campaigns is told to retry shortly
+//! rather than left hanging.
 //! `status --connect` recognises the service's `/status` schema and
 //! renders the campaign table.
 //!
@@ -479,6 +481,7 @@ fn serve_main(args: &[String]) {
     let mut journal_sync: Option<usize> = None;
     let mut cache_dir: Option<PathBuf> = None;
     let mut max_campaigns: Option<usize> = None;
+    let mut expect: Option<usize> = None;
     let mut sweep_files: Vec<PathBuf> = Vec::new();
     let mut names: Vec<&str> = Vec::new();
     let mut it = args.iter();
@@ -490,7 +493,7 @@ fn serve_main(args: &[String]) {
             "--max-campaigns" => {
                 max_campaigns = Some(parse_positive("--max-campaigns", it.next()));
             }
-            "--expect" => serve_opts.expect = parse_num("--expect", it.next()) as usize,
+            "--expect" => expect = Some(parse_num("--expect", it.next()) as usize),
             "--lease-timeout" => {
                 serve_opts.lease_timeout =
                     Duration::from_secs(parse_positive("--lease-timeout", it.next()) as u64);
@@ -538,6 +541,9 @@ fn serve_main(args: &[String]) {
                  --insts/--warmup/--seed/--quick onto `submit`",
             );
         }
+        if expect.is_some() {
+            usage_error("--expect is a single-campaign flag: name the scenarios or drop it");
+        }
         let Some(http) = http else {
             usage_error(
                 "serve without scenario names runs the campaign service and needs \
@@ -558,6 +564,7 @@ fn serve_main(args: &[String]) {
     if max_campaigns.is_some() {
         usage_error("--max-campaigns is a campaign-service flag: drop the scenario names");
     }
+    serve_opts.expect = expect.unwrap_or(0);
     let registry = load_registry(&sweep_files);
     let names = with_sweep_names(names, &registry);
     let selected = select_scenarios(&registry, &names);
@@ -599,7 +606,7 @@ fn serve_main(args: &[String]) {
 /// Runs the multi-campaign coordinator service: binds the worker and
 /// control-plane listeners, then hands the loop to
 /// `rfcache_sim::service::serve_service` until `--max-campaigns`
-/// campaigns have been fetched (or forever).
+/// campaigns have been fetched or have failed (or forever).
 fn serve_service_main(
     bind: &str,
     http_bind: &str,
@@ -621,17 +628,14 @@ fn serve_service_main(
         .unwrap_or_else(|e| die(&format!("cannot read the control-plane address: {e}")));
     eprintln!("[service: workers on {addr}, submissions on http://{http_addr}/campaigns]");
     let cache = cache_dir.map(open_cache);
-    let signals = rfcache_sim::transport::ServeSignals::new();
     let start = Instant::now();
     let summary = rfcache_sim::service::serve_service(rfcache_sim::ServiceConfig {
-        listener: &listener,
-        http: &http_listener,
-        opts: &serve_opts,
-        signals: &signals,
+        http: Some(&http_listener),
         cache: cache.as_ref(),
         journal_dir,
         journal_sync,
         max_campaigns,
+        ..rfcache_sim::ServiceConfig::new(&listener, &serve_opts)
     })
     .unwrap_or_else(|e| die(&e.to_string()));
     eprintln!(

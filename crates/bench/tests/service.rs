@@ -317,6 +317,40 @@ fn idle_workers_are_rejected_with_retry_not_wedged() {
     );
 }
 
+/// A failed campaign counts toward `--max-campaigns` like a fetched
+/// one: a service restarted on a journal directory that already holds
+/// `campaign-1.journal` fails that campaign and must still exit, with
+/// status 1, instead of serving forever.
+#[test]
+fn max_campaigns_counts_failed_campaigns_and_exits_1() {
+    let work = temp_dir("failed_exit");
+    let journals = work.join("journals");
+    std::fs::create_dir_all(&journals).unwrap();
+    std::fs::write(journals.join("campaign-1.journal"), b"").unwrap();
+
+    let (mut service, _workers, control, service_log) =
+        spawn_service(&["--journal", journals.to_str().unwrap(), "--max-campaigns", "1"]);
+    let id = submit(&control, CAMPAIGN_A);
+    assert_eq!(id, "1");
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = service.try_wait().expect("service status") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = service.kill();
+            let _ = service.wait();
+            panic!("the service kept running after its only campaign failed");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let log = service_log.recv_timeout(Duration::from_secs(10)).unwrap_or_default();
+    assert_eq!(status.code(), Some(1), "service stderr: {log}");
+    assert!(log.contains("cannot create the campaign journal"), "service stderr: {log}");
+    let _ = std::fs::remove_dir_all(&work);
+}
+
 /// The service-mode flag surface names its mistakes.
 #[test]
 fn service_flags_and_subcommands_name_their_requirements() {
@@ -338,6 +372,13 @@ fn service_flags_and_subcommands_name_their_requirements() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("campaign-service flag"), "stderr: {stderr}");
+
+    // ...and --expect only in single-campaign mode.
+    let out =
+        experiments(&["serve", "--bind", "127.0.0.1:0", "--http", "127.0.0.1:0", "--expect", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--expect is a single-campaign flag"), "stderr: {stderr}");
 
     let out = experiments(&["submit", "readstats"]);
     assert_eq!(out.status.code(), Some(2));

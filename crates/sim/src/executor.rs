@@ -16,10 +16,12 @@
 //!   plan-ordered result vector, verifying each record's spec
 //!   fingerprint so *plan drift* between coordinator and worker is an
 //!   error instead of a silently scrambled report.
-//! * [`Distributed`] — a TCP coordinator ([`crate::transport`]) leasing
-//!   plan-index ranges to an elastic pool of `experiments work`
-//!   processes on any host, with disconnect re-queue, lease-timeout
-//!   re-issue for stragglers, and per-record fingerprint verification.
+//! * [`Distributed`] — a TCP coordinator leasing plan-index ranges to an
+//!   elastic pool of `experiments work` processes on any host, with
+//!   disconnect re-queue, lease-timeout re-issue for stragglers, and
+//!   per-record fingerprint verification. It runs the one coordinator
+//!   loop ([`crate::service`]) with its campaign pre-admitted; the wire
+//!   protocol is [`crate::transport`].
 //!
 //! All backends return results in plan order, so every scenario's
 //! `assemble()` sees exactly what a sequential run would have produced —
@@ -348,8 +350,9 @@ impl Executor for Subprocess {
 }
 
 /// The distributed TCP backend: a lease-based coordinator
-/// ([`crate::transport::serve`]) over an elastic pool of `experiments
-/// work` processes, on this host or others.
+/// ([`crate::service::serve_campaign`], the coordinator loop with this
+/// campaign pre-admitted) over an elastic pool of `experiments work`
+/// processes, on this host or others.
 ///
 /// Workers re-derive the campaign plan from the `hello` frame's
 /// [`CampaignHeader`] and prove it with a campaign fingerprint, then
@@ -631,11 +634,11 @@ impl Executor for Distributed {
             }
         }
 
-        let signals = crate::transport::ServeSignals::new();
         let result = {
-            // Supervision runs inside the serve loop (no watcher thread):
-            // a campaign whose whole self-spawned pool died must abort,
-            // not wait forever for workers that will never reconnect.
+            // Supervision runs inside the coordinator loop (no watcher
+            // thread): a campaign whose whole self-spawned pool died must
+            // abort, not wait forever for workers that will never
+            // reconnect.
             let count = children.len();
             let mut watch_pool;
             let supervise: Option<&mut dyn FnMut() -> Option<String>> = if count > 0 {
@@ -652,18 +655,14 @@ impl Executor for Distributed {
             } else {
                 None
             };
-            crate::transport::serve_with(crate::transport::ServeConfig {
-                listener: &listener,
+            let cfg = crate::service::ServiceConfig {
                 http: http_listener.as_ref(),
-                header: &header,
-                specs,
-                planned: self.planned.unwrap_or(specs.len()),
-                opts: &self.serve_opts,
-                signals: &signals,
-                journal,
                 cache: cache.as_ref(),
                 supervise,
-            })
+                ..crate::service::ServiceConfig::new(&listener, &self.serve_opts)
+            };
+            let planned = self.planned.unwrap_or(specs.len());
+            crate::service::serve_campaign(cfg, header, specs, planned, journal)
         };
 
         // The campaign is over either way: reap the worker pool. On

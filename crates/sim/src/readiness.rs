@@ -1,9 +1,9 @@
 //! Socket readiness for the event-driven coordinator: a thin,
 //! dependency-free wrapper over `poll(2)`.
 //!
-//! The distributed coordinator ([`crate::transport::serve`]) owns every
-//! connection on one thread; instead of blocking per socket it asks the
-//! OS which sockets are ready and only then reads/writes them. The
+//! The coordinator loop ([`crate::service`]) owns every connection on
+//! one thread; instead of blocking per socket it asks the OS which
+//! sockets are ready and only then reads/writes them. The
 //! stdlib has no readiness API, so this module declares the `poll`
 //! symbol directly (it lives in the C runtime the stdlib already links
 //! against — no external crate involved) and wraps it in a small

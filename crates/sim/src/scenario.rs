@@ -157,7 +157,7 @@ impl fmt::Debug for Scenario {
 
 /// Runs many scenarios through **one** global work queue.
 ///
-/// All scenarios' specs are flattened into a single [`par_indexed`]
+/// All scenarios' specs are flattened into a single [`crate::par_indexed`]
 /// batch, so the tail of one scenario's sweep overlaps the head of the
 /// next and the worker pool stays saturated across scenario boundaries.
 /// A spec that several scenarios plan (a shared baseline) is simulated
@@ -343,7 +343,7 @@ impl Registry {
     }
 
     /// Rebuilds a registry from the canonical sweep texts a
-    /// [`crate::CampaignHeader`] carries.
+    /// [`crate::metrics_codec::CampaignHeader`] carries.
     ///
     /// # Errors
     ///

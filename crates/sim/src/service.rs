@@ -1,12 +1,21 @@
-//! The multi-campaign coordinator service: `POST /campaigns` over the
-//! readiness loop.
+//! The coordinator: **one** single-threaded `poll(2)` readiness loop
+//! that drives a table of campaigns. The listener, every worker
+//! connection and every HTTP client are nonblocking sockets multiplexed
+//! through `crate::readiness`, with the per-connection state machines
+//! of `crate::conn` instead of per-connection threads, so the lease
+//! tables, slot vectors and journals need no locks. Every distributed
+//! way of running a campaign goes through this loop:
 //!
-//! [`transport::serve_with`](crate::transport::serve_with) runs exactly
-//! one campaign and exits; this module runs the same single-threaded
-//! `poll(2)` loop as a **long-lived service** that outlives any one
-//! campaign. HTTP clients submit campaign descriptions
-//! ([`CampaignRequest`], validated against the scenario registry),
-//! each submission moves through the lifecycle
+//! * **Single campaign** ([`serve_campaign`]). `serve NAMES…`, `resume`
+//!   and `--dist-workers` start the loop with one *pre-admitted*
+//!   campaign, which the `Distributed` executor builds from its header,
+//!   deduplicated specs, journal and cache. There is no submission
+//!   endpoint; the loop returns that campaign's result slots when it
+//!   completes, or its error when it fails or is aborted.
+//! * **Service** ([`serve_service`]). The same loop started with an
+//!   empty table. HTTP clients submit campaign descriptions
+//!   ([`CampaignRequest`], validated against the scenario registry) with
+//!   `POST /campaigns`, and each submission moves through the lifecycle
 //!
 //! ```text
 //! queued → serving → complete → fetched
@@ -14,31 +23,41 @@
 //!          failed
 //! ```
 //!
-//! and workers are handed leases from whichever campaign is currently
-//! serving. One campaign serves at a time — determinism and the
-//! fingerprint handshake stay exactly as strong as the single-campaign
-//! coordinator's — while submissions queue behind it, so a single
-//! coordinator process accepts and completes any number of campaigns
-//! without restarting.
+//! Workers are handed leases from whichever campaign is serving. One
+//! campaign serves at a time, so determinism and the fingerprint
+//! handshake stay exactly as strong as for a single campaign, while
+//! submissions queue behind it.
+//!
+//! **What pre-admission changes.** The two modes differ only in whether
+//! the campaign was pre-admitted:
+//!
+//! 1. a handshake or record fingerprint mismatch on the pre-admitted
+//!    campaign is a fatal [`ExecutorError::PlanDrift`] for the caller; on
+//!    a submitted campaign a mismatched handshake turns that one worker
+//!    away, and a drifting record fails only that campaign;
+//! 2. `GET /status` renders `rfcache-coordinator/v1` for the pre-admitted
+//!    campaign and `rfcache-service/v1` for the service, and the
+//!    single-campaign control plane answers only `GET`;
+//! 3. logs are prefixed `[serve: …]` and `[service: …]` respectively;
+//! 4. only a pre-admitted campaign holds its leases for the
+//!    [`ServeOptions::expect`] quorum.
 //!
 //! **Same admission path.** Every record enters a campaign through
-//! [`ServeState::admit`] — the identical verify/dedup/write-ahead path
-//! the single-campaign loop uses — whether it arrives as a live worker
-//! frame, a per-campaign journal replay, or a `--cache` pre-fill at
-//! promotion time. Results fetched from the service are therefore
-//! byte-identical to an in-process run of the same description
-//! (asserted end-to-end in `crates/bench/tests/service.rs` and the CI
-//! `service` job).
+//! `ServeState::admit`, whether it arrives as a live worker frame, a
+//! journal replay, or a `--cache` pre-fill at promotion. Reports are
+//! therefore byte-identical to an in-process run of the same campaign
+//! (asserted end-to-end in `crates/bench/tests/{dist,service}.rs` and
+//! the CI `distributed`, `durable` and `service` jobs).
 //!
 //! **Endpoints.**
 //!
 //! | Method + path | Purpose |
 //! |---|---|
 //! | `GET /healthz` | liveness probe |
-//! | `GET /status` | service overview: campaign table + worker roster |
-//! | `POST /campaigns` | submit a campaign description (JSON body) |
-//! | `GET /campaigns/<id>` | one campaign's lifecycle + progress |
-//! | `GET /campaigns/<id>/results` | assembled reports (text/CSV/JSON) |
+//! | `GET /status` | campaign progress (single) or campaign table (service), plus the worker roster |
+//! | `POST /campaigns` | service: submit a campaign description (JSON body) |
+//! | `GET /campaigns/<id>` | service: one campaign's lifecycle + progress |
+//! | `GET /campaigns/<id>/results` | service: assembled reports (text/CSV/JSON) |
 //!
 //! Malformed descriptions get a `400` with the reason, oversized bodies
 //! a `413`, unknown ids a `404`, and premature result fetches a `409` —
@@ -46,58 +65,80 @@
 //!
 //! **Workers between campaigns.** A worker that connects while nothing
 //! is serving receives a [`Frame::Retry`] instead of a hello and
-//! reconnects after the suggested delay ([`transport::work`] honors it
-//! within its connect window), so idle periods cannot wedge a worker in
-//! a handshake that will never progress.
+//! reconnects after the suggested delay ([`crate::transport::work`]
+//! honors it within its connect window), so idle periods cannot wedge a
+//! worker in a handshake that will never progress.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, CacheSession};
 use crate::conn::{ActiveLease, HttpConn, WorkerConn, WorkerPhase};
 use crate::executor::ExecutorError;
 use crate::http;
 use crate::json;
 use crate::metrics_codec::{CampaignHeader, Frame, ShardRecord};
 use crate::readiness::{listener_fd, stream_fd, PollSet};
-use crate::run::{campaign_fingerprint, RunSpec, UniquePlan};
-use crate::scenario::{self, CampaignRequest, Registry, ScenarioReport};
+use crate::run::{campaign_fingerprint, RunResult, RunSpec, UniquePlan};
+use crate::scenario::{self, CampaignRequest, Registry};
 use crate::transport::{
-    worker_roster_json, JournalWriter, ServeOptions, ServeSignals, ServeState, DRAIN_WINDOW,
-    HANDSHAKE_DEADLINE, HTTP_CLIENT_WINDOW, READ_TICK,
+    Journal, JournalWriter, ServeOptions, ServeState, HANDSHAKE_DEADLINE, READ_TICK,
 };
 use std::io;
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Reconnect delay suggested to workers that arrive between campaigns.
 pub const RETRY_AFTER_MS: u64 = 500;
+/// How long the loop keeps flushing final `done` frames and responses
+/// to backpressured sockets after it stops.
+const DRAIN_WINDOW: Duration = Duration::from_secs(5);
+/// How long an HTTP client may dribble its request before being reaped.
+const HTTP_CLIENT_WINDOW: Duration = Duration::from_secs(10);
 
-/// Everything [`serve_service`] needs, bundled like
-/// [`transport::ServeConfig`](crate::transport::ServeConfig).
+/// Everything the coordinator loop needs besides its campaigns.
 pub struct ServiceConfig<'a> {
     /// The already-bound listener workers connect to.
     pub listener: &'a TcpListener,
-    /// The already-bound HTTP listener (mandatory here: a submission
-    /// service without a submission endpoint is useless).
-    pub http: &'a TcpListener,
-    /// Lease policy applied to every campaign (`expect` is ignored —
-    /// the quorum gate is a single-campaign start-up optimisation).
+    /// The HTTP control plane (`/status`, `/healthz`, and the service's
+    /// `/campaigns`), served by the same loop. Required by the service:
+    /// it is how campaigns are submitted.
+    pub http: Option<&'a TcpListener>,
+    /// Lease policy applied to every campaign.
     pub opts: &'a ServeOptions,
-    /// Out-of-band abort/finished signalling shared with the caller.
-    pub signals: &'a ServeSignals,
-    /// Optional result cache: consulted at each campaign's promotion
-    /// (pre-fill through the admission path) and fed by every live
-    /// record, so one campaign's results warm the next submission's.
+    /// Optional result cache: unfilled plan indices it can satisfy are
+    /// admitted (and journaled) at promotion, before any lease is
+    /// issued, and every live record admitted afterwards is stored back.
     pub cache: Option<&'a Cache>,
-    /// Optional journal *directory*: each campaign write-ahead journals
-    /// to `campaign-<id>.journal` inside it.
+    /// Service only: each submitted campaign write-ahead journals to
+    /// `campaign-<id>.journal` inside this directory.
     pub journal_dir: Option<&'a Path>,
-    /// `sync_data` interval for campaign journals (records per sync;
-    /// 0 = only at completion).
+    /// Service only: `sync_data` interval for campaign journals (records
+    /// per sync; 0 = only at completion).
     pub journal_sync: usize,
-    /// Exit cleanly once this many campaigns reach `fetched` (`None` =
-    /// serve forever). This is how CI and tests get a deterministic
-    /// shutdown without killing the process.
+    /// Service only: exit once this many campaigns are fetched or failed
+    /// (`None` = serve forever). This is how CI and tests get a
+    /// deterministic shutdown without killing the process.
     pub max_campaigns: Option<usize>,
+    /// Called from the loop roughly every poll tick; returning a reason
+    /// aborts it. This is how the `Distributed` executor supervises
+    /// self-spawned workers without a watcher thread.
+    pub supervise: Option<&'a mut dyn FnMut() -> Option<String>>,
+}
+
+impl<'a> ServiceConfig<'a> {
+    /// A configuration with no control plane, cache, journal directory,
+    /// campaign limit or supervision hook.
+    pub fn new(listener: &'a TcpListener, opts: &'a ServeOptions) -> Self {
+        ServiceConfig {
+            listener,
+            http: None,
+            opts,
+            cache: None,
+            journal_dir: None,
+            journal_sync: 0,
+            max_campaigns: None,
+            supervise: None,
+        }
+    }
 }
 
 /// What a finished [`serve_service`] session did.
@@ -113,7 +154,7 @@ pub struct ServiceSummary {
     pub failed: usize,
 }
 
-/// Where a submitted campaign stands.
+/// Where a campaign stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lifecycle {
     /// Accepted; waiting for the coordinator to finish earlier work.
@@ -144,176 +185,359 @@ impl Lifecycle {
     }
 }
 
-/// One submitted campaign, from POST body to fetched results.
+/// One campaign, from admission to its results.
 struct Campaign {
     id: u64,
-    request: CampaignRequest,
-    /// The namespace the request's names resolve in: built-ins plus
-    /// any sweep definitions embedded in the submission.
-    registry: Registry,
     header: CampaignHeader,
-    plans: Vec<Vec<RunSpec>>,
-    /// The distinct specs of `plans` ([`UniquePlan::specs`]), owned:
+    /// The distinct specs of the plan ([`UniquePlan::specs`]), owned:
     /// what is leased, journaled, cached and fingerprinted.
     specs: Vec<RunSpec>,
+    /// Runs the scenarios plan, duplicates included.
+    planned: usize,
     fingerprint: u64,
     state: ServeState,
     lifecycle: Lifecycle,
-    failure: Option<String>,
+    failure: Option<ExecutorError>,
+    /// Records of an interrupted run, replayed at promotion.
+    replay: Vec<ShardRecord>,
+    replayed: usize,
     /// Indices satisfied from the cache at promotion.
     cached: usize,
-    submitted: Instant,
+    cache_lookups: u64,
+    cache_stores: u64,
+    /// Handshakes ever completed (monotonic): the `expect` quorum counts
+    /// workers that joined, so a crashed worker cannot re-raise the gate.
+    joined: usize,
+    admitted: Instant,
+    /// How a submitted campaign assembles its reports: its namespace and
+    /// per-scenario plans. `None` marks the pre-admitted campaign, whose
+    /// result slots go back to the caller instead.
+    assembly: Option<(Registry, Vec<Vec<RunSpec>>)>,
     /// The rendered results document, built once at completion.
     results: Option<String>,
 }
 
 impl Campaign {
-    /// Builds a queued campaign from a validated description.
+    fn new(
+        id: u64,
+        header: CampaignHeader,
+        specs: &[&RunSpec],
+        planned: usize,
+        opts: &ServeOptions,
+    ) -> Campaign {
+        Campaign {
+            id,
+            header,
+            fingerprint: campaign_fingerprint(specs),
+            specs: specs.iter().map(|&spec| spec.clone()).collect(),
+            planned,
+            state: ServeState::new(specs.len(), opts.chunk, opts.lease_timeout),
+            lifecycle: Lifecycle::Queued,
+            failure: None,
+            replay: Vec::new(),
+            replayed: 0,
+            cached: 0,
+            cache_lookups: 0,
+            cache_stores: 0,
+            joined: 0,
+            admitted: Instant::now(),
+            assembly: None,
+            results: None,
+        }
+    }
+
+    /// Builds a queued campaign from a submitted description.
     ///
     /// # Errors
     ///
     /// Returns the reason when an embedded sweep definition is invalid
     /// or a requested scenario is unknown — a `400` for the submitter,
     /// never a service panic.
-    fn new(id: u64, request: CampaignRequest, opts: &ServeOptions) -> Result<Campaign, String> {
+    fn submitted(
+        id: u64,
+        request: CampaignRequest,
+        opts: &ServeOptions,
+    ) -> Result<Campaign, String> {
         let registry = request.registry()?;
         let scenarios = registry.resolve(&request.scenarios)?;
         let plans: Vec<Vec<RunSpec>> = scenarios.iter().map(|s| s.plan(&request.opts)).collect();
         let unique = UniquePlan::from_plans(&plans);
-        let runs = unique.specs.len();
-        let fingerprint = campaign_fingerprint(&unique.specs);
-        let specs = unique.specs.into_iter().cloned().collect();
-        let header = CampaignHeader::new(request.scenarios.clone(), &request.opts, 0, 1, runs)
-            .with_sweeps(request.sweeps.clone());
-        Ok(Campaign {
-            id,
-            request,
-            registry,
-            header,
-            plans,
-            specs,
-            fingerprint,
-            state: ServeState::new(runs, opts.chunk, opts.lease_timeout),
-            lifecycle: Lifecycle::Queued,
-            failure: None,
-            cached: 0,
-            submitted: Instant::now(),
-            results: None,
-        })
+        let header =
+            CampaignHeader::new(request.scenarios, &request.opts, 0, 1, unique.specs.len())
+                .with_sweeps(request.sweeps);
+        let mut campaign = Campaign::new(id, header, &unique.specs, unique.planned(), opts);
+        campaign.assembly = Some((registry, plans));
+        Ok(campaign)
+    }
+
+    fn pre_admitted(&self) -> bool {
+        self.assembly.is_none()
+    }
+
+    /// The log prefix: `serve` for the pre-admitted campaign, `service`
+    /// for a submitted one.
+    fn prefix(&self) -> &'static str {
+        if self.pre_admitted() {
+            "serve"
+        } else {
+            "service"
+        }
     }
 
     fn runs(&self) -> usize {
         self.header.runs
     }
 
-    /// Runs the scenarios plan, duplicates included.
-    fn planned(&self) -> usize {
-        self.plans.iter().map(Vec::len).sum()
+    /// Whether this campaign counts toward the loop's campaign limit:
+    /// fetched or failed, or complete if pre-admitted (its results go
+    /// straight back to the caller).
+    fn settled(&self) -> bool {
+        match self.lifecycle {
+            Lifecycle::Fetched | Lifecycle::Failed => true,
+            Lifecycle::Complete => self.pre_admitted(),
+            Lifecycle::Queued | Lifecycle::Serving => false,
+        }
     }
 
-    /// Marks the campaign failed (first reason wins) — unlike the
-    /// single-campaign coordinator, where these conditions are fatal to
-    /// the process, a service isolates the failure to the one campaign.
-    fn fail(&mut self, reason: String) {
+    /// Marks the campaign failed (first reason wins).
+    fn fail(&mut self, reason: ExecutorError) {
         if self.failure.is_none() {
-            eprintln!("[service: campaign {} failed: {reason}]", self.id);
+            eprintln!("[{}: campaign {} failed: {reason}]", self.prefix(), self.id);
             self.failure = Some(reason);
         }
         self.lifecycle = Lifecycle::Failed;
     }
 
-    /// Promotes a queued campaign to serving: create its journal, then
-    /// pre-fill from the cache — both through [`ServeState::admit`], the
-    /// same admission path live records use.
+    /// Promotes a queued campaign to serving: create its journal in the
+    /// service's journal directory, replay an interrupted run's journal,
+    /// then pre-fill from the cache. This is the only place a campaign
+    /// is pre-filled.
     fn promote(&mut self, cfg: &ServiceConfig<'_>) {
         debug_assert_eq!(self.lifecycle, Lifecycle::Queued);
-        if let Some(dir) = cfg.journal_dir {
-            match open_campaign_journal(dir, self, cfg.journal_sync) {
+        if let (Some(dir), None) = (cfg.journal_dir, &self.state.journal) {
+            let path = dir.join(format!("campaign-{}.journal", self.id));
+            let created = std::fs::create_dir_all(dir).and_then(|()| {
+                JournalWriter::create(&path, &self.header, self.fingerprint, cfg.journal_sync)
+            });
+            match created {
                 Ok(writer) => self.state.journal = Some(writer),
                 Err(e) => {
-                    self.fail(format!("cannot create the campaign journal: {e}"));
-                    return;
+                    return self.fail(ExecutorError::io("cannot create the campaign journal", e))
                 }
             }
         }
-        if let Some(cache) = cfg.cache {
-            let flat: Vec<&RunSpec> = self.specs.iter().collect();
-            let mut lookups = 0u64;
-            for index in 0..flat.len() {
-                if self.state.table.is_filled(index) {
-                    continue;
-                }
-                lookups += 1;
-                let Some(result) = cache.lookup(flat[index]) else { continue };
-                let record = ShardRecord::from_result(index, flat[index].fingerprint(), &result);
-                match self.state.admit(&flat, record, true) {
-                    Ok(true) => self.cached += 1,
-                    Ok(false) => {}
-                    Err(e) => {
-                        self.fail(format!("cache pre-fill rejected: {e}"));
-                        return;
-                    }
-                }
-            }
-            self.state.table.prune_pending();
-            let session =
-                crate::cache::CacheSession::now("service", lookups, self.cached as u64, 0);
-            if let Err(e) = cache.record_session(&session) {
-                eprintln!("[service: warning: cannot record the cache session: {e}]");
-            }
+        if let Err(e) = self.prefill(cfg.cache) {
+            return self.fail(e);
+        }
+        let p = self.prefix();
+        if self.replayed > 0 {
+            eprintln!(
+                "[{p}: replayed {} of {} plan index(es) from the journal]",
+                self.replayed,
+                self.runs()
+            );
+        }
+        if self.cached > 0 {
+            eprintln!(
+                "[{p}: {} of {} plan index(es) satisfied from the cache]",
+                self.cached,
+                self.runs()
+            );
         }
         self.lifecycle = Lifecycle::Serving;
         eprintln!(
-            "[service: campaign {} serving: {} planned, {} unique run(s), {} from cache, \
+            "[{p}: campaign {} serving: {} planned, {} unique run(s), {} from cache, \
              fingerprint {:016x}]",
             self.id,
-            self.planned(),
+            self.planned,
             self.runs(),
             self.cached,
             self.fingerprint
         );
     }
 
-    /// Completes a serving campaign: sync the journal, assemble the
-    /// reports, and render the results document clients will fetch.
-    fn finish(&mut self) {
-        debug_assert!(self.state.table.complete());
-        if let Some(writer) = &mut self.state.journal {
-            if let Err(e) = writer.sync() {
-                eprintln!("[service: warning: cannot sync campaign {} journal: {e}]", self.id);
+    /// Admits the journal replay (verified and deduplicated, but not
+    /// re-appended) and then every unfilled index the cache can satisfy,
+    /// through the same path live records take, and drops them from the
+    /// pending queue so they are never leased.
+    fn prefill(&mut self, cache: Option<&Cache>) -> Result<(), ExecutorError> {
+        for record in std::mem::take(&mut self.replay) {
+            self.replayed += usize::from(self.state.admit(&self.specs, record, false)?);
+        }
+        if let Some(cache) = cache {
+            for (index, spec) in self.specs.iter().enumerate() {
+                if self.state.table.is_filled(index) {
+                    continue;
+                }
+                self.cache_lookups += 1;
+                let Some(result) = cache.lookup(spec) else { continue };
+                let record = ShardRecord::from_result(index, spec.fingerprint(), &result);
+                self.cached += usize::from(self.state.admit(&self.specs, record, true)?);
             }
         }
-        let results: Vec<_> = std::mem::take(&mut self.state.slots)
-            .into_iter()
-            .map(|slot| slot.expect("complete table implies full slots"))
-            .collect();
-        // The names resolved at admission; a registry that no longer
-        // resolves them here would be a logic bug, but a service fails
-        // the one campaign instead of panicking.
-        let scenarios = match self.registry.resolve(&self.request.scenarios) {
-            Ok(scenarios) => scenarios,
-            Err(e) => {
-                self.fail(format!("cannot re-resolve scenarios at completion: {e}"));
-                return;
-            }
-        };
-        let results = UniquePlan::from_plans(&self.plans).fan_out(results);
-        let reports =
-            scenario::run_campaign_from_parts(&scenarios, &self.request.opts, &self.plans, results);
-        self.results = Some(render_results(self, &reports));
-        self.lifecycle = Lifecycle::Complete;
-        eprintln!("[service: campaign {} complete ({} run(s))]", self.id, self.runs());
+        self.state.table.prune_pending();
+        Ok(())
     }
 
-    /// The per-campaign status document (`GET /campaigns/<id>`).
+    /// Admits one live record frame and stores a fresh result back to
+    /// the cache; a record that fails verification fails the campaign.
+    fn admit(&mut self, record: ShardRecord, cache: Option<&Cache>) {
+        let index = record.index;
+        match self.state.admit(&self.specs, record, true) {
+            Ok(true) => {
+                if let Some(cache) = cache {
+                    let result = self.state.slots[index].as_ref().expect("admitted slot is filled");
+                    match cache.store(&self.specs[index], result) {
+                        Ok(()) => self.cache_stores += 1,
+                        Err(e) => eprintln!(
+                            "[{}: warning: cannot cache result {index}: {e}]",
+                            self.prefix()
+                        ),
+                    }
+                }
+            }
+            Ok(false) => {}
+            Err(e) => self.fail(e),
+        }
+    }
+
+    /// Re-queues the unfinished indices of a lease whose worker
+    /// acknowledged it short or went away.
+    fn release(&mut self, lease: u64, peer: &str) {
+        if self.lifecycle != Lifecycle::Serving {
+            return;
+        }
+        let requeued = self.state.table.release(lease);
+        if requeued > 0 {
+            eprintln!("[{}: re-queued {requeued} index(es) from worker {peer}]", self.prefix());
+        }
+    }
+
+    /// Completes a serving campaign: sync the journal, record the cache
+    /// session, and for a submitted campaign assemble the reports and
+    /// render the results document clients will fetch.
+    fn finish(&mut self, cache: Option<&Cache>) {
+        debug_assert!(self.state.table.complete());
+        let p = self.prefix();
+        if let Some(writer) = &mut self.state.journal {
+            // The results are in memory; a failed final sync only weakens
+            // the (now redundant) journal, so it warns instead of
+            // discarding a finished campaign.
+            if let Err(e) = writer.sync() {
+                eprintln!("[{p}: warning: cannot sync campaign {} journal: {e}]", self.id);
+            }
+        }
+        if let Some(cache) = cache {
+            let label = if self.pre_admitted() { "distributed" } else { "service" };
+            let session =
+                CacheSession::now(label, self.cache_lookups, self.cached as u64, self.cache_stores);
+            if let Err(e) = cache.record_session(&session) {
+                eprintln!("[{p}: warning: cannot record the cache session: {e}]");
+            }
+        }
+        if self.assembly.is_some() {
+            let results: Vec<RunResult> = std::mem::take(&mut self.state.slots)
+                .into_iter()
+                .map(|slot| slot.expect("complete table implies full slots"))
+                .collect();
+            match self.render_results(results) {
+                Ok(doc) => self.results = Some(doc),
+                Err(e) => {
+                    let detail = format!("cannot re-resolve scenarios at completion: {e}");
+                    return self.fail(ExecutorError::Transport { detail });
+                }
+            }
+        }
+        self.lifecycle = Lifecycle::Complete;
+        eprintln!("[{p}: campaign {} complete ({} run(s))]", self.id, self.runs());
+    }
+
+    /// Assembles a submitted campaign's reports and renders the results
+    /// document (`GET /campaigns/<id>/results`): one entry per scenario
+    /// carrying the rendered report text, the CSV the `--csv` exporter
+    /// would write, and the JSON table the `--json` exporter would write
+    /// — as strings, so a fetching client reproduces the exact bytes an
+    /// in-process run of the same description emits.
+    ///
+    /// The names resolved at admission; a registry that no longer
+    /// resolves them would be a logic bug, which fails the one campaign
+    /// instead of panicking the service.
+    fn render_results(&self, results: Vec<RunResult>) -> Result<String, String> {
+        let (registry, plans) = self.assembly.as_ref().expect("a submitted campaign");
+        let scenarios = registry.resolve(&self.header.scenarios)?;
+        let results = UniquePlan::from_plans(plans).fan_out(results);
+        let reports =
+            scenario::run_campaign_from_parts(&scenarios, &self.header.opts(), plans, results);
+        let entries: Vec<String> = self
+            .header
+            .scenarios
+            .iter()
+            .zip(&reports)
+            .map(|(name, report)| {
+                let table = report.to_table();
+                format!(
+                    "{{\"name\": \"{}\", \"report\": \"{}\", \"csv\": \"{}\", \"json\": \"{}\"}}",
+                    json::escape(name),
+                    json::escape(&format!("{report}")),
+                    json::escape(&table.to_csv()),
+                    json::escape(&table.to_json())
+                )
+            })
+            .collect();
+        Ok(format!(
+            "{{\"schema\": \"rfcache-campaign-results/v1\", \"id\": {}, \
+             \"fingerprint\": \"{:016x}\", \"scenarios\": [{}]}}\n",
+            self.id,
+            self.fingerprint,
+            entries.join(", ")
+        ))
+    }
+
+    fn names_json(&self) -> String {
+        let names: Vec<String> =
+            self.header.scenarios.iter().map(|s| format!("\"{}\"", json::escape(s))).collect();
+        names.join(", ")
+    }
+
+    /// The pre-admitted campaign's `GET /status` document: identity,
+    /// progress counters (cache pre-fills included), the worker roster,
+    /// and the journal position.
+    fn coordinator_status_json(&self, workers: &[WorkerConn]) -> String {
+        let (completed, leased, pending) = self.state.table.counts();
+        let journal = self.state.journal.as_ref().map_or("null".to_string(), |writer| {
+            let (records, bytes) = writer.position();
+            format!(
+                "{{\"records\": {records}, \"replayed\": {}, \"bytes\": {bytes}}}",
+                self.replayed
+            )
+        });
+        format!(
+            "{{\"schema\": \"rfcache-coordinator/v1\", \"fingerprint\": \"{:016x}\", \
+             \"scenarios\": [{}], \"planned\": {}, \"runs\": {}, \"completed\": {completed}, \
+             \"leased\": {leased}, \"pending\": {pending}, \"cached\": {}, \"complete\": {}, \
+             \"elapsed_secs\": {:.3}, \
+             \"workers_joined\": {}, \"workers_connected\": {}, \"workers\": [{}], \
+             \"journal\": {journal}}}\n",
+            self.fingerprint,
+            self.names_json(),
+            self.planned,
+            self.runs(),
+            self.cached,
+            self.state.table.complete(),
+            self.admitted.elapsed().as_secs_f64(),
+            self.joined,
+            workers.iter().filter(|c| c.dead.is_none()).count(),
+            worker_roster_json(workers)
+        )
+    }
+
+    /// A submitted campaign's status document (`GET /campaigns/<id>`).
     fn status_json(&self) -> String {
         let (completed, leased, pending) = self.state.table.counts();
-        let names: Vec<String> =
-            self.request.scenarios.iter().map(|s| format!("\"{}\"", json::escape(s))).collect();
         let failure = self
             .failure
             .as_ref()
-            .map_or("null".to_string(), |f| format!("\"{}\"", json::escape(f)));
+            .map_or("null".to_string(), |f| format!("\"{}\"", json::escape(&f.to_string())));
         let journal = self.state.journal.as_ref().map_or("null".to_string(), |writer| {
             let (records, bytes) = writer.position();
             format!("{{\"records\": {records}, \"bytes\": {bytes}}}")
@@ -326,72 +550,34 @@ impl Campaign {
              \"failure\": {failure}, \"journal\": {journal}, \"age_secs\": {:.3}}}\n",
             self.id,
             self.lifecycle.as_str(),
-            names.join(", "),
-            self.request.opts.insts,
-            self.request.opts.warmup,
-            self.request.opts.seed,
-            self.request.opts.quick,
-            self.planned(),
+            self.names_json(),
+            self.header.insts,
+            self.header.warmup,
+            self.header.seed,
+            self.header.quick,
+            self.planned,
             self.runs(),
             self.cached,
             self.fingerprint,
-            self.submitted.elapsed().as_secs_f64()
+            self.admitted.elapsed().as_secs_f64()
         )
     }
 
-    /// The short row this campaign contributes to `GET /status`.
+    /// The short row this campaign contributes to the service's
+    /// `GET /status`.
     fn brief_json(&self) -> String {
         let (completed, _, _) = self.state.table.counts();
-        let names: Vec<String> =
-            self.request.scenarios.iter().map(|s| format!("\"{}\"", json::escape(s))).collect();
         format!(
             "{{\"id\": {}, \"state\": \"{}\", \"scenarios\": [{}], \"planned\": {}, \
              \"runs\": {}, \"completed\": {completed}, \"cached\": {}}}",
             self.id,
             self.lifecycle.as_str(),
-            names.join(", "),
-            self.planned(),
+            self.names_json(),
+            self.planned,
             self.runs(),
             self.cached
         )
     }
-}
-
-fn open_campaign_journal(dir: &Path, c: &Campaign, sync_every: usize) -> io::Result<JournalWriter> {
-    std::fs::create_dir_all(dir)?;
-    let path: PathBuf = dir.join(format!("campaign-{}.journal", c.id));
-    JournalWriter::create(&path, &c.header, c.fingerprint, sync_every)
-}
-
-/// Renders the results document (`GET /campaigns/<id>/results`): one
-/// entry per scenario carrying the rendered report text, the CSV the
-/// `--csv` exporter would write, and the JSON table the `--json`
-/// exporter would write — as strings, so a fetching client reproduces
-/// the exact bytes an in-process run of the same description emits.
-fn render_results(c: &Campaign, reports: &[Box<dyn ScenarioReport>]) -> String {
-    let entries: Vec<String> = c
-        .request
-        .scenarios
-        .iter()
-        .zip(reports)
-        .map(|(name, report)| {
-            let table = report.to_table();
-            format!(
-                "{{\"name\": \"{}\", \"report\": \"{}\", \"csv\": \"{}\", \"json\": \"{}\"}}",
-                json::escape(name),
-                json::escape(&format!("{report}")),
-                json::escape(&table.to_csv()),
-                json::escape(&table.to_json())
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\": \"rfcache-campaign-results/v1\", \"id\": {}, \
-         \"fingerprint\": \"{:016x}\", \"scenarios\": [{}]}}\n",
-        c.id,
-        c.fingerprint,
-        entries.join(", ")
-    )
 }
 
 /// The service overview document (`GET /status`).
@@ -401,7 +587,6 @@ fn service_status_json(campaigns: &[Campaign], workers: &[WorkerConn], started: 
         .find(|c| c.lifecycle == Lifecycle::Serving)
         .map_or("null".to_string(), |c| c.id.to_string());
     let briefs: Vec<String> = campaigns.iter().map(Campaign::brief_json).collect();
-    let roster = worker_roster_json(workers);
     format!(
         "{{\"schema\": \"rfcache-service/v1\", \"elapsed_secs\": {:.3}, \"serving\": {serving}, \
          \"submitted\": {}, \"campaigns\": [{}], \"workers_connected\": {}, \"workers\": [{}]}}\n",
@@ -409,112 +594,120 @@ fn service_status_json(campaigns: &[Campaign], workers: &[WorkerConn], started: 
         campaigns.len(),
         briefs.join(", "),
         workers.iter().filter(|c| c.dead.is_none()).count(),
-        roster.join(", ")
+        worker_roster_json(workers)
     )
 }
 
+/// The per-worker roster both `/status` documents carry.
+fn worker_roster_json(workers: &[WorkerConn]) -> String {
+    let roster: Vec<String> = workers
+        .iter()
+        .map(|conn| {
+            let phase = match conn.phase {
+                WorkerPhase::Handshake { .. } => "handshake",
+                WorkerPhase::Ready => "ready",
+                WorkerPhase::Streaming => "streaming",
+                WorkerPhase::Closing => "closing",
+            };
+            let lease_age = conn.lease.map_or("null".to_string(), |lease| {
+                format!("{:.3}", lease.issued.elapsed().as_secs_f64())
+            });
+            format!(
+                "{{\"peer\": \"{}\", \"phase\": \"{phase}\", \"leases\": {}, \
+                 \"records\": {}, \"lease_age_secs\": {lease_age}}}",
+                json::escape(&conn.peer),
+                conn.leases_done,
+                conn.records
+            )
+        })
+        .collect();
+    roster.join(", ")
+}
+
+fn plain(code: u16, reason: &str, body: &str) -> Vec<u8> {
+    http::respond(code, reason, "text/plain", body)
+}
+
 /// Routes one parsed control-plane request against the campaign table.
-/// Mutates it only on `POST /campaigns` (new entry) and on the first
+/// With a pre-admitted campaign the control plane is read-only: only
+/// `GET /healthz` and `GET /status` exist. The service mutates the
+/// table only on `POST /campaigns` (new entry) and on the first
 /// successful results fetch (`complete → fetched`).
 fn route_request(
     req: &http::Request,
     campaigns: &mut Vec<Campaign>,
     next_id: &mut u64,
-    cfg: &ServiceConfig<'_>,
+    opts: &ServeOptions,
     workers: &[WorkerConn],
     started: Instant,
 ) -> Vec<u8> {
+    let single = campaigns.first().is_some_and(Campaign::pre_admitted);
     match (req.method.as_str(), req.path()) {
+        ("GET", "/healthz") => http::json_ok("{\"status\": \"ok\"}\n"),
+        ("GET", "/status") if single => {
+            http::json_ok(&campaigns[0].coordinator_status_json(workers))
+        }
+        ("GET", "/status") => http::json_ok(&service_status_json(campaigns, workers, started)),
+        ("GET", _) if single => plain(404, "Not Found", "unknown path; try /status or /healthz\n"),
+        _ if single => plain(405, "Method Not Allowed", "only GET is supported\n"),
         ("POST", "/campaigns") => {
-            let body = match std::str::from_utf8(&req.body) {
-                Ok(body) => body,
-                Err(_) => {
-                    return http::respond(
-                        400,
-                        "Bad Request",
-                        "text/plain",
-                        "campaign description is not UTF-8\n",
-                    )
-                }
-            };
-            let request = match CampaignRequest::from_json(body) {
-                Ok(request) => request,
-                Err(reason) => {
-                    return http::respond(400, "Bad Request", "text/plain", &format!("{reason}\n"))
-                }
-            };
-            let id = *next_id;
-            *next_id += 1;
-            let campaign = match Campaign::new(id, request, cfg.opts) {
+            let request = std::str::from_utf8(&req.body)
+                .map_err(|_| "campaign description is not UTF-8".to_string())
+                .and_then(CampaignRequest::from_json)
+                .and_then(|request| Campaign::submitted(*next_id, request, opts));
+            let campaign = match request {
                 Ok(campaign) => campaign,
-                Err(reason) => {
-                    return http::respond(400, "Bad Request", "text/plain", &format!("{reason}\n"))
-                }
+                Err(reason) => return plain(400, "Bad Request", &format!("{reason}\n")),
             };
+            *next_id += 1;
             eprintln!(
-                "[service: campaign {id} queued: {} ({} planned, {} unique run(s))]",
-                campaign.request.scenarios.join(" "),
-                campaign.planned(),
+                "[service: campaign {} queued: {} ({} planned, {} unique run(s))]",
+                campaign.id,
+                campaign.header.scenarios.join(" "),
+                campaign.planned,
                 campaign.runs()
             );
             let body = format!(
-                "{{\"id\": {id}, \"state\": \"queued\", \"planned\": {}, \"runs\": {}, \
+                "{{\"id\": {}, \"state\": \"queued\", \"planned\": {}, \"runs\": {}, \
                  \"fingerprint\": \"{:016x}\"}}\n",
-                campaign.planned(),
+                campaign.id,
+                campaign.planned,
                 campaign.runs(),
                 campaign.fingerprint
             );
             campaigns.push(campaign);
             http::respond(201, "Created", "application/json", &body)
         }
-        ("GET", "/healthz") => http::json_ok("{\"status\": \"ok\"}\n"),
-        ("GET", "/status") => http::json_ok(&service_status_json(campaigns, workers, started)),
-        ("GET", path) => match parse_campaign_path(path) {
-            Some((id, want_results)) => {
-                let Some(campaign) = campaigns.iter_mut().find(|c| c.id == id) else {
-                    return http::respond(
-                        404,
-                        "Not Found",
-                        "text/plain",
-                        &format!("no campaign {id}\n"),
-                    );
-                };
-                if !want_results {
-                    return http::json_ok(&campaign.status_json());
-                }
-                match &campaign.results {
-                    Some(doc) => {
-                        let response = http::json_ok(doc);
-                        if campaign.lifecycle == Lifecycle::Complete {
-                            campaign.lifecycle = Lifecycle::Fetched;
-                            eprintln!("[service: campaign {id} fetched]");
-                        }
-                        response
-                    }
-                    None => http::respond(
-                        409,
-                        "Conflict",
-                        "text/plain",
-                        &format!(
-                            "campaign {id} is {}; results exist once it is complete\n",
-                            campaign.lifecycle.as_str()
-                        ),
-                    ),
-                }
+        ("GET", path) => {
+            let Some((id, want_results)) = parse_campaign_path(path) else {
+                return plain(
+                    404,
+                    "Not Found",
+                    "unknown path; try /status, /campaigns/<id> or /campaigns/<id>/results\n",
+                );
+            };
+            let Some(campaign) = campaigns.iter_mut().find(|c| c.id == id) else {
+                return plain(404, "Not Found", &format!("no campaign {id}\n"));
+            };
+            if !want_results {
+                return http::json_ok(&campaign.status_json());
             }
-            None => http::respond(
-                404,
-                "Not Found",
-                "text/plain",
-                "unknown path; try /status, /campaigns/<id> or /campaigns/<id>/results\n",
-            ),
-        },
-        _ => http::respond(
-            405,
-            "Method Not Allowed",
-            "text/plain",
-            "only GET, and POST /campaigns, are supported\n",
-        ),
+            let Some(doc) = &campaign.results else {
+                let state = campaign.lifecycle.as_str();
+                return plain(
+                    409,
+                    "Conflict",
+                    &format!("campaign {id} is {state}; results exist once it is complete\n"),
+                );
+            };
+            let response = http::json_ok(doc);
+            if campaign.lifecycle == Lifecycle::Complete {
+                campaign.lifecycle = Lifecycle::Fetched;
+                eprintln!("[service: campaign {id} fetched]");
+            }
+            response
+        }
+        _ => plain(405, "Method Not Allowed", "only GET, and POST /campaigns, are supported\n"),
     }
 }
 
@@ -529,81 +722,169 @@ fn parse_campaign_path(path: &str) -> Option<(u64, bool)> {
     id.parse().ok().map(|id: u64| (id, want_results))
 }
 
-/// Runs the multi-campaign coordinator service until aborted (via
-/// `cfg.signals`) or until `cfg.max_campaigns` campaigns have been
-/// fetched. See the module docs for the lifecycle and endpoints.
+/// Serves one pre-admitted campaign on an already-bound listener:
+/// accepts workers, verifies their handshakes, leases out the plan, and
+/// returns one result per spec of the deduplicated plan `specs`, in
+/// order — byte-identical input to `assemble()` as any other backend.
+///
+/// `planned` is the plan's size with duplicates (reported by `/status`
+/// next to `runs`). With a [`Journal`], every accepted record is
+/// appended to the write-ahead sink before it counts as completed, and
+/// the journal's replayed records pre-fill the slot table (verified and
+/// deduplicated like live records), so a resumed campaign produces the
+/// result vector an uninterrupted one would. Individual worker failures
+/// are *not* fatal: their leases are re-queued and the campaign
+/// continues with the remaining workers.
+///
+/// # Errors
+///
+/// Returns [`ExecutorError::PlanDrift`] when a worker's campaign or
+/// record fingerprints disagree with the plan (replayed journal records
+/// included), [`ExecutorError::Io`] on listener or journal failures,
+/// and [`ExecutorError::Transport`] when the supervision hook aborts.
+pub fn serve_campaign(
+    cfg: ServiceConfig<'_>,
+    header: CampaignHeader,
+    specs: &[&RunSpec],
+    planned: usize,
+    journal: Option<Journal>,
+) -> Result<Vec<RunResult>, ExecutorError> {
+    let mut campaign = Campaign::new(1, header, specs, planned, cfg.opts);
+    if let Some(journal) = journal {
+        campaign.state.journal = Some(journal.writer);
+        campaign.replay = journal.replay;
+    }
+    let mut campaign = coordinate(cfg, vec![campaign])?.pop().expect("the campaign stays listed");
+    // The loop only ends on a fatal error (returned above) or once the
+    // campaign is settled: complete, or failed with its reason.
+    match campaign.failure.take() {
+        Some(e) => Err(e),
+        None => Ok(campaign
+            .state
+            .slots
+            .into_iter()
+            .map(|slot| slot.expect("complete table implies full slots"))
+            .collect()),
+    }
+}
+
+/// Runs the multi-campaign coordinator service until `max_campaigns`
+/// campaigns have been fetched or have failed (or forever). See the
+/// module docs for the lifecycle and endpoints.
 ///
 /// # Errors
 ///
 /// Returns [`ExecutorError::Io`] when a listener or the readiness poll
-/// fails — infrastructure trouble that dooms the whole service.
-/// Campaign-level failures (bad submissions, drifting workers, journal
-/// trouble) are isolated to the affected campaign and reported through
-/// its lifecycle instead.
+/// fails — infrastructure trouble that dooms the whole service — and
+/// [`ExecutorError::Transport`] without an HTTP listener. Campaign-level
+/// failures (drifting workers, journal trouble) are isolated to the
+/// affected campaign and reported through its lifecycle instead.
 pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorError> {
+    if cfg.http.is_none() {
+        return Err(ExecutorError::Transport {
+            detail: "the campaign service needs an HTTP listener to accept submissions".into(),
+        });
+    }
+    let campaigns = coordinate(cfg, Vec::new())?;
+    let count = |pred: fn(&Campaign) -> bool| campaigns.iter().filter(|c| pred(c)).count();
+    Ok(ServiceSummary {
+        submitted: campaigns.len(),
+        completed: count(|c| c.lifecycle.done()),
+        fetched: count(|c| c.lifecycle == Lifecycle::Fetched),
+        failed: count(|c| c.lifecycle == Lifecycle::Failed),
+    })
+}
+
+/// The coordinator loop behind [`serve_campaign`] (one pre-admitted
+/// campaign) and [`serve_service`] (an empty table). Returns the
+/// campaign table once enough campaigns are settled, or the fatal error
+/// that ended the loop.
+fn coordinate(
+    mut cfg: ServiceConfig<'_>,
+    mut campaigns: Vec<Campaign>,
+) -> Result<Vec<Campaign>, ExecutorError> {
+    let single = campaigns.first().is_some_and(Campaign::pre_admitted);
+    let p = if single { "serve" } else { "service" };
+    let limit = if single { Some(1) } else { cfg.max_campaigns };
+    let mut supervise = cfg.supervise.take();
     cfg.listener
         .set_nonblocking(true)
         .map_err(|e| ExecutorError::io("cannot poll the campaign listener", e))?;
-    cfg.http
-        .set_nonblocking(true)
-        .map_err(|e| ExecutorError::io("cannot poll the control-plane listener", e))?;
+    if let Some(control) = cfg.http {
+        control
+            .set_nonblocking(true)
+            .map_err(|e| ExecutorError::io("cannot poll the control-plane listener", e))?;
+    }
 
     let started = Instant::now();
-    let mut campaigns: Vec<Campaign> = Vec::new();
-    let mut next_id: u64 = 1;
+    let mut last_supervise = started;
+    let mut next_id = campaigns.len() as u64 + 1;
     let mut workers: Vec<WorkerConn> = Vec::new();
     let mut https: Vec<HttpConn> = Vec::new();
     let mut poll = PollSet::new();
     let mut fatal: Option<ExecutorError> = None;
 
     loop {
-        if fatal.is_some() || cfg.signals.aborted() {
-            break;
-        }
-        if let Some(max) = cfg.max_campaigns {
-            if campaigns.iter().filter(|c| c.lifecycle == Lifecycle::Fetched).count() >= max {
-                eprintln!("[service: {max} campaign(s) fetched; shutting down]");
-                break;
-            }
-        }
-
         // Promote the oldest queued campaign when nothing is serving
-        // (admission failures just move on to the next submission).
+        // (admission failures just move on to the next one). A campaign
+        // its journal and the cache satisfy outright completes here,
+        // without any worker.
         while !campaigns.iter().any(|c| c.lifecycle == Lifecycle::Serving) {
-            let Some(campaign) = campaigns.iter_mut().find(|c| c.lifecycle == Lifecycle::Queued)
-            else {
+            let Some(c) = campaigns.iter_mut().find(|c| c.lifecycle == Lifecycle::Queued) else {
                 break;
             };
-            campaign.promote(&cfg);
-            if campaign.lifecycle == Lifecycle::Serving && campaign.state.table.complete() {
-                // Fully satisfied by journal/cache pre-fill: no worker
-                // needs to connect at all.
-                campaign.finish();
+            c.promote(&cfg);
+            if c.lifecycle == Lifecycle::Serving && c.state.table.complete() {
+                c.finish(cfg.cache);
+            }
+        }
+        if fatal.is_some() {
+            break;
+        }
+        if let Some(max) = limit {
+            if campaigns.iter().filter(|c| c.settled()).count() >= max {
+                eprintln!("[{p}: {max} campaign(s) finished; shutting down]");
+                break;
+            }
+        }
+        if let Some(watch) = supervise.as_mut() {
+            if last_supervise.elapsed() >= READ_TICK {
+                last_supervise = Instant::now();
+                if let Some(detail) = watch() {
+                    fatal = Some(ExecutorError::Transport { detail });
+                    break;
+                }
             }
         }
 
-        // Lease issue: idle handshaked workers of the serving campaign.
+        // Lease issue: idle handshaked workers of the serving campaign
+        // get fresh pending work, or the overdue remainder of a stalled
+        // lease (straggler re-issue). A pre-admitted campaign first
+        // waits for its `expect` quorum, for at most one lease timeout.
         let now = Instant::now();
-        if let Some(campaign) = campaigns.iter_mut().find(|c| c.lifecycle == Lifecycle::Serving) {
-            for conn in workers.iter_mut() {
-                if conn.dead.is_some()
-                    || conn.campaign != Some(campaign.id)
-                    || conn.phase != WorkerPhase::Ready
-                {
-                    continue;
+        if let Some(c) = campaigns.iter_mut().find(|c| c.lifecycle == Lifecycle::Serving) {
+            let expect = if c.pre_admitted() { cfg.opts.expect } else { 0 };
+            if c.joined >= expect || c.admitted.elapsed() >= cfg.opts.lease_timeout {
+                for conn in workers.iter_mut() {
+                    if conn.dead.is_some()
+                        || conn.campaign != Some(c.id)
+                        || conn.phase != WorkerPhase::Ready
+                    {
+                        continue;
+                    }
+                    let Some(lease) = c.state.table.grab(now) else { break };
+                    conn.lease = Some(ActiveLease { id: lease.id, issued: now });
+                    conn.out.queue_frame(&Frame::Lease { id: lease.id, indices: lease.indices });
+                    conn.phase = WorkerPhase::Streaming;
                 }
-                let Some(lease) = campaign.state.table.grab(now) else { break };
-                conn.lease = Some(ActiveLease { id: lease.id, issued: now });
-                conn.out.queue_frame(&Frame::Lease { id: lease.id, indices: lease.indices });
-                conn.phase = WorkerPhase::Streaming;
             }
         }
 
         // Declare interest, then block until something is ready (or a
-        // tick passes).
+        // tick passes — deadlines and supervision still need to run).
         poll.clear();
         let listener_slot = poll.register(listener_fd(cfg.listener), true, false);
-        let control_slot = poll.register(listener_fd(cfg.http), true, false);
+        let control_slot = cfg.http.map(|l| poll.register(listener_fd(l), true, false));
         let worker_slots: Vec<usize> = workers
             .iter()
             .map(|c| poll.register(stream_fd(&c.stream), true, c.out.pending()))
@@ -613,34 +894,31 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
             .map(|c| poll.register(stream_fd(&c.stream), !c.responded, c.out.pending()))
             .collect();
         if let Err(e) = poll.poll(READ_TICK) {
-            fatal.get_or_insert(ExecutorError::io("readiness poll failed", e));
+            fatal = Some(ExecutorError::io("readiness poll failed", e));
             break;
         }
 
         // Accept workers: hand them the serving campaign's hello, or a
-        // retry frame when nothing is serving (the satellite fix — a
-        // worker must never block in a handshake that cannot progress).
+        // retry frame when nothing is serving — a worker must never
+        // block in a handshake that cannot progress.
         if poll.readable(listener_slot) {
-            let serving = campaigns
-                .iter()
-                .find(|c| c.lifecycle == Lifecycle::Serving)
-                .map(|c| (c.id, c.header.clone(), c.fingerprint));
+            let serving = campaigns.iter().find(|c| c.lifecycle == Lifecycle::Serving);
             loop {
                 match cfg.listener.accept() {
                     Ok((stream, peer)) => {
                         let peer = peer.to_string();
                         let deadline = Instant::now() + HANDSHAKE_DEADLINE;
-                        let greeting = match &serving {
-                            Some((_, header, fingerprint)) => Frame::Hello {
-                                campaign: Some(header.clone()),
-                                fingerprint: *fingerprint,
+                        let greeting = match serving {
+                            Some(c) => Frame::Hello {
+                                campaign: Some(c.header.clone()),
+                                fingerprint: c.fingerprint,
                             },
                             None => Frame::Retry { after_ms: RETRY_AFTER_MS },
                         };
                         match WorkerConn::start(stream, peer.clone(), &greeting, deadline) {
                             Ok(mut conn) => {
-                                match &serving {
-                                    Some((id, _, _)) => conn.campaign = Some(*id),
+                                match serving {
+                                    Some(c) => conn.campaign = Some(c.id),
                                     // Nothing to handshake against: the
                                     // connection only drains its retry
                                     // frame, then the sweep closes it.
@@ -648,13 +926,13 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
                                 }
                                 workers.push(conn);
                             }
-                            Err(e) => eprintln!("[service: worker {peer} dropped: {e}]"),
+                            Err(e) => eprintln!("[{p}: worker {peer} dropped: {e}]"),
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) => {
-                        fatal.get_or_insert(ExecutorError::io("campaign listener failed", e));
+                        fatal = Some(ExecutorError::io("campaign listener failed", e));
                         break;
                     }
                 }
@@ -662,17 +940,20 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
         }
 
         // Accept control-plane clients.
-        if poll.readable(control_slot) {
-            loop {
-                match cfg.http.accept() {
-                    Ok((stream, _)) => {
-                        if let Ok(conn) = HttpConn::start(stream) {
-                            https.push(conn);
+        if let (Some(control), Some(slot)) = (cfg.http, control_slot) {
+            if poll.readable(slot) {
+                loop {
+                    match control.accept() {
+                        Ok((stream, _)) => {
+                            if let Ok(conn) = HttpConn::start(stream) {
+                                https.push(conn);
+                            }
                         }
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        // Control-plane trouble never dooms a campaign.
+                        Err(_) => break,
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
                 }
             }
         }
@@ -715,23 +996,32 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
                     conn.campaign.and_then(|id| campaigns.iter_mut().find(|c| c.id == id));
                 match (conn.phase, frame) {
                     (WorkerPhase::Handshake { .. }, Frame::Hello { fingerprint: echoed, .. }) => {
-                        // Unlike the single-campaign coordinator, a
-                        // fingerprint mismatch is not fatal to the
-                        // service: it rejects the one worker and the
-                        // campaign keeps serving through the rest.
                         match campaign {
                             Some(c) if echoed == c.fingerprint => {
                                 conn.phase = WorkerPhase::Ready;
+                                c.joined += 1;
                                 eprintln!(
-                                    "[service: worker {} joined campaign {}]",
-                                    conn.peer, c.id
+                                    "[{p}: worker {} joined campaign {} ({} joined)]",
+                                    conn.peer, c.id, c.joined
                                 );
                             }
-                            Some(c) => conn.kill(format!(
-                                "planned campaign fingerprint {echoed:016x}, campaign {} is \
-                                 {:016x} (mismatched binaries or options)",
-                                c.id, c.fingerprint
-                            )),
+                            Some(c) => {
+                                let detail = format!(
+                                    "worker {} planned campaign fingerprint {echoed:016x}, \
+                                     campaign {} is {:016x} (mismatched binaries or options)",
+                                    conn.peer, c.id, c.fingerprint
+                                );
+                                // A drifting worker means mismatched
+                                // binaries or options somewhere in the
+                                // fleet: fatal to the caller of the
+                                // pre-admitted campaign, while a service
+                                // turns the one worker away.
+                                if c.pre_admitted() {
+                                    c.fail(ExecutorError::PlanDrift { index: 0, detail });
+                                } else {
+                                    conn.kill(detail);
+                                }
+                            }
                             None => conn.kill("handshake for a vanished campaign"),
                         }
                     }
@@ -741,37 +1031,16 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
                             conn.kill("record for a vanished campaign");
                             break;
                         };
-                        if c.lifecycle != Lifecycle::Serving {
-                            continue; // straggler record after failure
-                        }
-                        let index = record.index;
-                        let flat: Vec<&RunSpec> = c.specs.iter().collect();
-                        match c.state.admit(&flat, *record, true) {
-                            Ok(true) => {
-                                if let Some(cache) = cfg.cache {
-                                    let result = c.state.slots[index]
-                                        .as_ref()
-                                        .expect("admitted slot is filled");
-                                    if let Err(e) = cache.store(flat[index], result) {
-                                        eprintln!(
-                                            "[service: warning: cannot cache result {index}: {e}]"
-                                        );
-                                    }
-                                }
-                            }
-                            Ok(false) => {}
-                            Err(e) => c.fail(e.to_string()),
+                        if c.lifecycle == Lifecycle::Serving {
+                            c.admit(*record, cfg.cache);
                         }
                     }
                     (WorkerPhase::Streaming, Frame::Done) => {
+                        // Lease acknowledged. Belt and braces: a worker
+                        // may acknowledge without covering every index;
+                        // anything unfilled goes back in the queue.
                         if let (Some(active), Some(c)) = (conn.lease.take(), campaign) {
-                            let requeued = c.state.table.release(active.id);
-                            if requeued > 0 {
-                                eprintln!(
-                                    "[service: re-queued {requeued} index(es) from worker {}]",
-                                    conn.peer
-                                );
-                            }
+                            c.release(active.id, &conn.peer);
                         }
                         conn.leases_done += 1;
                         conn.phase = WorkerPhase::Ready;
@@ -791,13 +1060,13 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
         // Completion check: the serving campaign may have just filled
         // its last slot. Its workers get the final `done` and wind
         // down; the next queued campaign is promoted on the next pass.
-        if let Some(campaign) = campaigns
+        if let Some(c) = campaigns
             .iter_mut()
             .find(|c| c.lifecycle == Lifecycle::Serving && c.state.table.complete())
         {
-            campaign.finish();
+            c.finish(cfg.cache);
             for conn in workers.iter_mut() {
-                if conn.dead.is_none() && conn.campaign == Some(campaign.id) {
+                if conn.dead.is_none() && conn.campaign == Some(c.id) {
                     conn.out.queue_frame(&Frame::Done);
                     conn.phase = WorkerPhase::Closing;
                 }
@@ -805,53 +1074,35 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
         }
 
         // Sweep: handshake deadlines, workers of failed campaigns,
-        // drained between-campaign rejections, and dead connections
-        // (releasing their leases back to their campaign).
+        // drained between-campaign rejections, and dead connections,
+        // releasing their leases so no campaign loses work to a crash.
         let now = Instant::now();
         workers.retain_mut(|conn| {
+            let campaign = conn.campaign.and_then(|id| campaigns.iter_mut().find(|c| c.id == id));
             if conn.dead.is_none() {
                 if let WorkerPhase::Handshake { deadline } = conn.phase {
                     if now >= deadline {
                         conn.kill("no hello before deadline");
                     }
                 }
-                if conn.campaign.is_none()
-                    && conn.phase == WorkerPhase::Closing
-                    && !conn.out.pending()
-                {
-                    conn.kill("no campaign to serve (retry sent)");
-                }
-                if let Some(id) = conn.campaign {
-                    let failed = campaigns
-                        .iter()
-                        .find(|c| c.id == id)
-                        .is_none_or(|c| c.lifecycle == Lifecycle::Failed);
-                    if failed {
-                        conn.kill("campaign failed");
+                match &campaign {
+                    None if conn.phase == WorkerPhase::Closing && !conn.out.pending() => {
+                        conn.kill("no campaign to serve (retry sent)");
                     }
+                    Some(c) if c.lifecycle == Lifecycle::Failed => conn.kill("campaign failed"),
+                    _ => {}
                 }
             }
             let Some(reason) = conn.dead.take() else { return true };
-            if let Some(active) = conn.lease.take() {
-                if let Some(c) =
-                    conn.campaign.and_then(|id| campaigns.iter_mut().find(|c| c.id == id))
-                {
-                    if c.lifecycle == Lifecycle::Serving {
-                        let requeued = c.state.table.release(active.id);
-                        if requeued > 0 {
-                            eprintln!(
-                                "[service: re-queued {requeued} index(es) from worker {}]",
-                                conn.peer
-                            );
-                        }
-                    }
-                }
+            if let (Some(active), Some(c)) = (conn.lease.take(), campaign) {
+                c.release(active.id, &conn.peer);
             }
-            eprintln!("[service: worker {} dropped: {reason}]", conn.peer);
+            eprintln!("[{p}: worker {} dropped: {reason}]", conn.peer);
             false
         });
 
-        // HTTP control plane: one request, one response, close.
+        // HTTP control plane: one request, one response, close. As
+        // above, only the prefix registered before this poll.
         for (at, conn) in https.iter_mut().take(http_slots.len()).enumerate() {
             if conn.dead {
                 continue;
@@ -878,18 +1129,20 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
                         }
                         continue;
                     }
-                    http::Parse::Ready(req) => {
-                        route_request(&req, &mut campaigns, &mut next_id, &cfg, &workers, started)
-                    }
-                    http::Parse::Invalid(detail) => {
-                        http::respond(400, "Bad Request", "text/plain", &format!("{detail}\n"))
-                    }
-                    http::Parse::TooLarge(detail) => http::respond(
-                        413,
-                        "Payload Too Large",
-                        "text/plain",
-                        &format!("{detail}\n"),
+                    http::Parse::Ready(req) => route_request(
+                        &req,
+                        &mut campaigns,
+                        &mut next_id,
+                        cfg.opts,
+                        &workers,
+                        started,
                     ),
+                    http::Parse::Invalid(detail) => {
+                        plain(400, "Bad Request", &format!("{detail}\n"))
+                    }
+                    http::Parse::TooLarge(detail) => {
+                        plain(413, "Payload Too Large", &format!("{detail}\n"))
+                    }
                 };
                 conn.out.queue_bytes(&response);
                 conn.responded = true;
@@ -904,7 +1157,7 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
         https.retain(|c| !c.dead && c.opened.elapsed() < HTTP_CLIENT_WINDOW);
     }
 
-    // Wind-down: give backpressured worker/HTTP sockets a bounded
+    // Wind-down: give backpressured worker and HTTP sockets a bounded
     // window to drain their final frames and responses.
     let deadline = Instant::now() + DRAIN_WINDOW;
     while Instant::now() < deadline {
@@ -946,17 +1199,11 @@ pub fn serve_service(cfg: ServiceConfig<'_>) -> Result<ServiceSummary, ExecutorE
             }
         }
     }
-    cfg.signals.mark_finished();
 
-    if let Some(e) = fatal {
-        return Err(e);
+    match fatal {
+        Some(e) => Err(e),
+        None => Ok(campaigns),
     }
-    Ok(ServiceSummary {
-        submitted: campaigns.len(),
-        completed: campaigns.iter().filter(|c| c.lifecycle.done()).count(),
-        fetched: campaigns.iter().filter(|c| c.lifecycle == Lifecycle::Fetched).count(),
-        failed: campaigns.iter().filter(|c| c.lifecycle == Lifecycle::Failed).count(),
-    })
 }
 
 #[cfg(test)]
