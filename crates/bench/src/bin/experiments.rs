@@ -131,6 +131,8 @@
 //! reports are byte-identical to an uncached reference run — benching a
 //! cold directory then a warm one records the cache speedup in the
 //! trajectory. See `rfcache_bench::perf` and `scripts/bench_diff.py`.
+//! Built with `--features profile`, `bench` also prints each scenario's
+//! host time per cycle-loop stage (dispatch, issue, commit, ...).
 //!
 //! All diagnostics (warnings, progress, errors) go to stderr; stdout
 //! carries only reports or, in shard-worker mode, shard records.
@@ -438,6 +440,10 @@ fn bench_main(args: &[String]) {
             None => format!("{:>10.0} insts/s ", stat.insts_per_sec()),
         };
         eprintln!("  {:<24} {rate}  ({:.3}s min)", stat.name, stat.secs_min);
+        // Per-stage times: only `--features profile` builds record them.
+        for &(stage, secs) in &stat.stages {
+            eprintln!("    stage {stage:<16} {secs:>8.4}s  {:>5.1}%", 100.0 * secs / stat.secs_min);
+        }
     };
     let snapshot = perf::run_bench(&opts, &mut progress);
     let rendered = match std::fs::read_to_string(&out) {

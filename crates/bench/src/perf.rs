@@ -15,6 +15,7 @@
 use rfcache_core::{
     OneLevelBankedConfig, RegFileCacheConfig, RegFileConfig, ReplicatedBankConfig, SingleBankConfig,
 };
+use rfcache_isa::TraceInst;
 use rfcache_pipeline::{Cpu, PipelineConfig};
 use rfcache_sim::experiments::ExperimentOpts;
 use rfcache_sim::scenario::ScenarioReport;
@@ -79,6 +80,10 @@ pub struct ScenarioStat {
     pub secs_min: f64,
     /// Mean over repetitions, seconds.
     pub secs_mean: f64,
+    /// Host seconds per cycle-loop stage in the fastest repetition's
+    /// measured phase. Filled only when built with the `profile` feature
+    /// (see `rfcache_pipeline::StageProfile`); never written to snapshots.
+    pub stages: Vec<(&'static str, f64)>,
 }
 
 impl ScenarioStat {
@@ -195,6 +200,7 @@ fn time_scenario(
 ) -> ScenarioStat {
     let profile = BenchProfile::by_name(BENCH_PROFILE).expect("bench profile exists");
     let mut timed: Vec<(f64, u64, u64)> = Vec::with_capacity(opts.repeat);
+    let mut stages: Vec<Vec<(&'static str, f64)>> = Vec::with_capacity(opts.repeat);
     for rep in 0..opts.warmup_reps + opts.repeat {
         let trace = TraceGenerator::new(profile, BENCH_SEED);
         let mut cpu = Cpu::new(PipelineConfig::default(), rf, trace);
@@ -207,13 +213,30 @@ fn time_scenario(
         let secs = start.elapsed().as_secs_f64();
         if rep >= opts.warmup_reps {
             timed.push((secs, metrics.cycles, metrics.committed));
+            stages.push(stage_seconds(&cpu));
         }
     }
-    let secs_min = timed.iter().map(|t| t.0).fold(f64::INFINITY, f64::min);
+    let fastest = (0..timed.len())
+        .min_by(|&a, &b| timed[a].0.total_cmp(&timed[b].0))
+        .expect("at least one timed repetition");
+    let secs_min = timed[fastest].0;
     let secs_mean = timed.iter().map(|t| t.0).sum::<f64>() / timed.len() as f64;
     // Deterministic simulation: every repetition ran the same cycles.
     let (_, cycles, committed) = timed[0];
-    ScenarioStat { name: name.to_string(), insts: committed, cycles, secs_min, secs_mean }
+    let stages = stages.swap_remove(fastest);
+    ScenarioStat { name: name.to_string(), insts: committed, cycles, secs_min, secs_mean, stages }
+}
+
+/// Host seconds per cycle-loop stage since the CPU's last metrics reset;
+/// empty unless built with the `profile` feature.
+fn stage_seconds<I: Iterator<Item = TraceInst>>(cpu: &Cpu<I>) -> Vec<(&'static str, f64)> {
+    #[cfg(feature = "profile")]
+    return cpu.stage_profile().stages().iter().map(|&(name, t)| (name, t.as_secs_f64())).collect();
+    #[cfg(not(feature = "profile"))]
+    {
+        let _ = cpu;
+        Vec::new()
+    }
 }
 
 /// Times the full `all --quick` campaign (every registered scenario, the
@@ -277,6 +300,7 @@ fn time_campaign(opts: &BenchOptions) -> ScenarioStat {
         cycles: 0,
         secs_min,
         secs_mean,
+        stages: Vec::new(),
     }
 }
 
@@ -425,6 +449,7 @@ mod tests {
                     cycles: 1_500,
                     secs_min: 0.002,
                     secs_mean: 0.003,
+                    stages: Vec::new(),
                 },
                 ScenarioStat {
                     name: "campaign/all-quick".into(),
@@ -432,6 +457,7 @@ mod tests {
                     cycles: 0,
                     secs_min: 1.5,
                     secs_mean: 1.6,
+                    stages: Vec::new(),
                 },
             ],
         }

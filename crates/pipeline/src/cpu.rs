@@ -17,7 +17,10 @@
 //!    operands are obtainable this cycle (bypass or register file read,
 //!    ports permitting) and that win a functional unit are issued. Upper-
 //!    bank misses file demand transfers; issues trigger
-//!    prefetch-first-pair requests.
+//!    prefetch-first-pair requests. Only woken entries are scanned (the
+//!    eligible list); a woken load that an older store of unknown
+//!    address holds back waits in a parked list instead, off the scan,
+//!    and rejoins the eligible list once the LSQ's store gate passes it.
 //! 6. **Dispatch** (decode/rename) and **fetch** refill the window.
 //!
 //! A result produced at the end of cycle `p` is written back at `p + 1`
@@ -44,6 +47,11 @@ use std::collections::VecDeque;
 /// (a model-protocol bug, not a workload property).
 const WATCHDOG_CYCLES: u64 = 50_000;
 
+/// Debug builds check the issue lists and the register accounting this
+/// often (in cycles) during [`Cpu::run`].
+#[cfg(debug_assertions)]
+const INVARIANT_PERIOD: Cycle = 1024;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     /// A memory instruction reaches its execute (address) stage.
@@ -66,6 +74,20 @@ impl WindowQuery for ClassWindow<'_> {
 
 /// Sentinel for "no result scheduled yet" in the produced-cycle mirror.
 const UNSCHEDULED: Cycle = Cycle::MAX;
+
+/// Runs one cycle-loop stage; with the `profile` feature, adds its host
+/// time to the named [`StageProfile`](crate::StageProfile) field.
+macro_rules! stage {
+    ($cpu:ident.$field:ident, $body:expr) => {{
+        #[cfg(feature = "profile")]
+        let start = std::time::Instant::now();
+        $body;
+        #[cfg(feature = "profile")]
+        {
+            $cpu.profile.$field += start.elapsed();
+        }
+    }};
+}
 
 /// The simulated processor.
 ///
@@ -114,10 +136,23 @@ pub struct Cpu<I: Iterator<Item = TraceInst>, R: RegFileModel = RegFile> {
     /// Entries whose operands are all produced (or within bypass reach),
     /// sorted by sequence number — the only entries the issue scan
     /// visits. An entry stays here until it issues (it may be held up by
-    /// ports, functional units, or the LSQ) or is squashed.
+    /// ports or functional units) or is squashed. No load in it is ever
+    /// behind the LSQ's store gate: those wait in `parked`.
     eligible: Vec<(u64, SlotId)>,
-    /// Dense "already in `eligible`" flags, preventing duplicate wakeups.
+    /// Woken loads that an older store of unknown address holds back,
+    /// sorted by sequence number. The gate only moves past loads once
+    /// they are queued (a new store is younger than every queued load),
+    /// so a load parks when it wakes, and the top of each issue pass
+    /// moves the loads the gate has passed back into `eligible`. The old
+    /// scan skipped these loads without side effects, so issue order is
+    /// unchanged.
+    parked: Vec<(u64, SlotId)>,
+    /// Dense "already in `eligible` or `parked`" flags, preventing
+    /// duplicate wakeups.
     in_eligible: Vec<bool>,
+    /// Per-ROB-slot "occupant is a load" flags, valid while `in_window`
+    /// is set (the wakeup path's gate test, without touching the ROB).
+    slot_is_load: Vec<bool>,
     /// Number of set `in_window` bits (dispatched, unissued entries).
     unissued: usize,
     /// Mirror of the historical window-vector length: the unissued count
@@ -166,6 +201,9 @@ pub struct Cpu<I: Iterator<Item = TraceInst>, R: RegFileModel = RegFile> {
     /// prefetch-first-pair window scan at issue is skipped entirely
     /// (`request_prefetch` would be a no-op anyway).
     prefetch_active: bool,
+    /// Host time per cycle-loop stage since the last metrics reset.
+    #[cfg(feature = "profile")]
+    profile: crate::StageProfile,
 }
 
 impl<I: Iterator<Item = TraceInst>> Cpu<I> {
@@ -220,7 +258,9 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
             waiters: [vec![Vec::new(); config.phys_regs], vec![Vec::new(); config.phys_regs]],
             wake_wheel: EventWheel::new(),
             eligible: Vec::with_capacity(config.window_size),
+            parked: Vec::with_capacity(config.lsq_size),
             in_eligible: vec![false; config.rob_size],
+            slot_is_load: vec![false; config.rob_size],
             unissued: 0,
             win_len: 0,
             recent_issued: Vec::with_capacity(config.issue_width),
@@ -245,6 +285,8 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
             trace_enabled: false,
             trace_log: Vec::new(),
             prefetch_active,
+            #[cfg(feature = "profile")]
+            profile: crate::StageProfile::default(),
             config,
         }
     }
@@ -263,6 +305,17 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
         self.metrics = SimMetrics::default();
         self.cycle_offset = self.now;
         self.last_commit = self.now;
+        #[cfg(feature = "profile")]
+        {
+            self.profile = crate::StageProfile::default();
+        }
+    }
+
+    /// Host time spent in each cycle-loop stage since construction or the
+    /// last [`reset_metrics`](Cpu::reset_metrics).
+    #[cfg(feature = "profile")]
+    pub fn stage_profile(&self) -> &crate::StageProfile {
+        &self.profile
     }
 
     /// Runs until `insts` instructions have committed (or the trace ends),
@@ -285,6 +338,11 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
                 self.metrics.committed,
                 self.debug_head_state(),
             );
+            #[cfg(debug_assertions)]
+            if self.now.is_multiple_of(INVARIANT_PERIOD) {
+                self.check_issue_lists();
+                self.check_register_accounting();
+            }
         }
         let mut m = self.metrics.clone();
         m.cycles = self.now - self.cycle_offset;
@@ -302,14 +360,16 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
     /// Advances the machine by one cycle.
     pub fn step(&mut self) {
         let now = self.now;
-        self.rf[0].begin_cycle(now);
-        self.rf[1].begin_cycle(now);
-        self.process_events(now);
-        self.commit(now);
-        self.writeback(now);
-        self.issue(now);
-        self.dispatch(now);
-        self.do_fetch(now);
+        stage!(self.begin_cycle, {
+            self.rf[0].begin_cycle(now);
+            self.rf[1].begin_cycle(now);
+        });
+        stage!(self.process_events, self.process_events(now));
+        stage!(self.commit, self.commit(now));
+        stage!(self.writeback, self.writeback(now));
+        stage!(self.issue, self.issue(now));
+        stage!(self.dispatch, self.dispatch(now));
+        stage!(self.fetch, self.do_fetch(now));
         if self.config.occupancy_sampling {
             self.sample_occupancy(now);
         }
@@ -382,13 +442,33 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
     }
 
     /// Inserts `slot` into the eligible list at its program-order
-    /// position.
+    /// position, or into `parked` if it is a load the store gate holds
+    /// back.
     fn insert_eligible(&mut self, slot: SlotId) {
         let idx = slot.index as usize;
         let seq = self.slot_seq[idx];
-        let pos = self.eligible.partition_point(|&(s, _)| s < seq);
-        self.eligible.insert(pos, (seq, slot));
+        let list = if self.slot_is_load[idx] && !self.lsq.prior_store_addresses_known(seq) {
+            &mut self.parked
+        } else {
+            &mut self.eligible
+        };
+        let pos = list.partition_point(|&(s, _)| s < seq);
+        list.insert(pos, (seq, slot));
         self.in_eligible[idx] = true;
+    }
+
+    /// Moves every parked load the store gate has passed into `eligible`,
+    /// at its program-order position. The passed loads are a prefix of
+    /// `parked`, since both lists are sorted by sequence number.
+    fn unpark(&mut self) {
+        let passed = match self.lsq.store_gate() {
+            Some(gate) => self.parked.partition_point(|&(s, _)| s < gate),
+            None => self.parked.len(),
+        };
+        for (seq, slot) in self.parked.drain(..passed) {
+            let pos = self.eligible.partition_point(|&(s, _)| s < seq);
+            self.eligible.insert(pos, (seq, slot));
+        }
     }
 
     fn mem_ex_start(&mut self, slot: SlotId, now: Cycle) {
@@ -490,17 +570,19 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
         let before = self.recent_issued.len();
         self.recent_issued.retain(|&s| rob.get(s).is_some());
         self.win_len -= before - self.recent_issued.len();
-        // Purge squashed entries from the eligible list so a reused slot
-        // can re-enter it.
+        // Purge squashed entries from the eligible and parked lists so a
+        // reused slot can re-enter them.
         let in_window = &self.in_window;
         let in_eligible = &mut self.in_eligible;
-        self.eligible.retain(|&(_, s)| {
-            let keep = in_window[s.index as usize];
-            if !keep {
-                in_eligible[s.index as usize] = false;
-            }
-            keep
-        });
+        for list in [&mut self.eligible, &mut self.parked] {
+            list.retain(|&(_, s)| {
+                let keep = in_window[s.index as usize];
+                if !keep {
+                    in_eligible[s.index as usize] = false;
+                }
+                keep
+            });
+        }
         self.wb_queue.retain(|&id| rob.get(id).is_some());
         // Stale events are invalidated by the slot generation check.
         self.fetch.redirect(now);
@@ -645,6 +727,12 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
             }
             self.wake_wheel.recycle(now, list);
         }
+        // Stores learn their addresses in `process_events`, before this
+        // pass, and nothing below touches the LSQ, so the gate is fixed
+        // for the whole scan.
+        if !self.parked.is_empty() {
+            self.unpark();
+        }
         if self.eligible.is_empty() {
             return;
         }
@@ -696,10 +784,12 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
             let seq = entry.seq;
             let op = entry.inst.op;
 
-            // Loads wait until all prior store addresses are known.
-            if op == OpClass::Load && !self.lsq.prior_store_addresses_known(seq) {
-                continue;
-            }
+            // Loads wait until all prior store addresses are known; the
+            // ones that must still wait are parked, not here.
+            debug_assert!(
+                op != OpClass::Load || self.lsq.prior_store_addresses_known_by_scan(seq),
+                "load {seq} issued before an older store's address is known"
+            );
 
             // No obtainability pre-check: `plan_read` classifies each
             // operand itself and its not-ready path touches no model
@@ -902,6 +992,7 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
             let idx = slot.index as usize;
             self.slot_srcs[idx] = srcs;
             self.slot_seq[idx] = fetched.seq;
+            self.slot_is_load[idx] = inst.op == OpClass::Load;
             self.in_window[idx] = true;
             self.unissued += 1;
             self.win_len += 1;
@@ -1058,6 +1149,38 @@ impl<I: Iterator<Item = TraceInst>, R: RegFileModel> Cpu<I, R> {
             let _ = writeln!(out, "  ... {} more", self.rob.len() - 24);
         }
         out
+    }
+
+    /// Debug invariant of the issue stage, between cycles: `eligible` and
+    /// `parked` are sorted and disjoint, every parked entry is a live,
+    /// in-window load behind the LSQ's store gate, and no load left in
+    /// `eligible` is behind it.
+    #[cfg(debug_assertions)]
+    fn check_issue_lists(&self) {
+        let live_load = |slot: SlotId| {
+            self.rob.get(slot).is_some_and(|e| e.inst.op == OpClass::Load)
+                && self.in_window[slot.index as usize]
+        };
+        for list in [&self.eligible, &self.parked] {
+            assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "issue list out of program order");
+        }
+        for &(seq, slot) in &self.parked {
+            assert!(live_load(slot), "parked entry {seq} is not a live in-window load");
+            assert!(
+                !self.lsq.prior_store_addresses_known_by_scan(seq),
+                "parked load {seq} passed the gate"
+            );
+            assert!(
+                self.eligible.binary_search_by_key(&seq, |&(s, _)| s).is_err(),
+                "load {seq} both eligible and parked"
+            );
+        }
+        for &(seq, slot) in &self.eligible {
+            assert!(
+                !live_load(slot) || self.lsq.prior_store_addresses_known_by_scan(seq),
+                "eligible load {seq} is behind the store gate"
+            );
+        }
     }
 
     /// Debug invariant: every physical register is either free or mapped/

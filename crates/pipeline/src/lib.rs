@@ -36,6 +36,8 @@ mod cpu;
 mod fu;
 mod lsq;
 mod metrics;
+#[cfg(feature = "profile")]
+mod profile;
 mod rename;
 mod rob;
 mod wheel;
@@ -45,5 +47,7 @@ pub use cpu::Cpu;
 pub use fu::FuPool;
 pub use lsq::{Lsq, StoreSearch};
 pub use metrics::{OccupancyHistogram, SimMetrics};
+#[cfg(feature = "profile")]
+pub use profile::StageProfile;
 pub use rename::RenameUnit;
 pub use rob::{Rob, SlotId, Stage};

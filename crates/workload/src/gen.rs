@@ -12,7 +12,6 @@ use crate::profile::BenchProfile;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rfcache_isa::{ArchReg, OpClass, RegClass, TraceInst};
-use std::collections::VecDeque;
 
 /// How many not-yet-consumed producers are eligible as dependence sources.
 /// Kept below the destination round-robin period so entries rarely alias a
@@ -28,6 +27,58 @@ const POOL_MAX: usize = if FRESH_WINDOW > REUSE_WINDOW { FRESH_WINDOW } else { R
 const INT_GLOBALS: std::ops::Range<u8> = 26..32;
 /// FP globals (loop-invariant constants): f28..f31.
 const FP_GLOBALS: std::ops::Range<u8> = 28..32;
+
+/// A fixed-capacity pool of produced values with their chain depths,
+/// oldest first. Each register occurs in it at most once: a value enters
+/// only after every older entry for its register was purged.
+#[derive(Debug, Clone, Copy)]
+struct Pool<const N: usize> {
+    items: [(ArchReg, u8); N],
+    len: usize,
+}
+
+impl<const N: usize> Pool<N> {
+    fn new() -> Self {
+        Pool { items: [(ArchReg::int(0), 0); N], len: 0 }
+    }
+
+    fn as_slice(&self) -> &[(ArchReg, u8)] {
+        &self.items[..self.len]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Removes and returns entry `i`, keeping the rest in order.
+    fn remove(&mut self, i: usize) -> (ArchReg, u8) {
+        let entry = self.items[i];
+        self.items.copy_within(i + 1..self.len, i);
+        self.len -= 1;
+        entry
+    }
+
+    /// Appends `entry` as the newest; when full, the oldest falls out.
+    fn push(&mut self, entry: (ArchReg, u8)) {
+        debug_assert!(
+            self.as_slice().iter().all(|&(r, _)| r != entry.0),
+            "{} is already pooled",
+            entry.0
+        );
+        if self.len == N {
+            self.remove(0);
+        }
+        self.items[self.len] = entry;
+        self.len += 1;
+    }
+
+    /// Removes the entry for `reg`, if there is one.
+    fn purge(&mut self, reg: ArchReg) {
+        if let Some(i) = self.as_slice().iter().position(|&(r, _)| r == reg) {
+            self.remove(i);
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Block {
@@ -62,9 +113,9 @@ pub struct TraceGenerator {
     pos: usize, // 0..=body_len; == body_len means "emit the branch"
     /// Produced values not yet consumed, per class, with their dataflow
     /// chain depth (consume-once pool).
-    fresh: [VecDeque<(ArchReg, u8)>; 2],
+    fresh: [Pool<FRESH_WINDOW>; 2],
     /// Recently consumed values, per class (re-read pool).
-    reusable: [VecDeque<(ArchReg, u8)>; 2],
+    reusable: [Pool<REUSE_WINDOW>; 2],
     next_dst: [u8; 2],
     addresses: AddressGenerator,
     /// Cumulative weights for sampling non-branch op classes.
@@ -166,11 +217,8 @@ impl TraceGenerator {
             blocks,
             current_block: 0,
             pos: 0,
-            fresh: [VecDeque::with_capacity(FRESH_WINDOW), VecDeque::with_capacity(FRESH_WINDOW)],
-            reusable: [
-                VecDeque::with_capacity(REUSE_WINDOW),
-                VecDeque::with_capacity(REUSE_WINDOW),
-            ],
+            fresh: [Pool::new(); 2],
+            reusable: [Pool::new(); 2],
             next_dst: [1, 0],
             addresses,
             body_cdf,
@@ -239,7 +287,7 @@ impl TraceGenerator {
         // Collect the eligible indices, newest first, in one scan. The
         // RNG below must only be drawn when at least one exists — draw
         // order is part of the deterministic trace contract.
-        let pool = if consume { &self.fresh[ci] } else { &self.reusable[ci] };
+        let pool = if consume { self.fresh[ci].as_slice() } else { self.reusable[ci].as_slice() };
         debug_assert!(pool.len() <= POOL_MAX);
         let mut eligible = [0u32; POOL_MAX];
         let mut n = 0;
@@ -256,14 +304,11 @@ impl TraceGenerator {
         // The d-th eligible index, newest first.
         let idx = eligible[d] as usize;
         if consume {
-            let entry = self.fresh[ci].remove(idx).expect("index in range");
-            if self.reusable[ci].len() == REUSE_WINDOW {
-                self.reusable[ci].pop_front();
-            }
-            self.reusable[ci].push_back(entry);
+            let entry = self.fresh[ci].remove(idx);
+            self.reusable[ci].push(entry);
             Some(entry)
         } else {
-            Some(self.reusable[ci][idx])
+            Some(self.reusable[ci].as_slice()[idx])
         }
     }
 
@@ -292,14 +337,12 @@ impl TraceGenerator {
         }
         // The redefinition kills the old value: purge stale references so
         // later picks do not alias the new definition.
-        self.reusable[class.index()].retain(|(r, _)| *r != reg);
+        self.reusable[class.index()].purge(reg);
         let fresh = &mut self.fresh[class.index()];
-        fresh.retain(|(r, _)| *r != reg);
-        if fresh.len() == FRESH_WINDOW {
-            // The oldest unconsumed value falls out: it will never be read.
-            fresh.pop_front();
-        }
-        fresh.push_back((reg, depth));
+        fresh.purge(reg);
+        // When full, the oldest unconsumed value falls out: it will never
+        // be read.
+        fresh.push((reg, depth));
         reg
     }
 
